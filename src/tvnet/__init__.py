@@ -4,10 +4,9 @@ structures and per-time sparse combination codes."""
 from .basis import (BasisSet, FitConfig, FitResult, LineSearchConfig,
                     StructureCode, fit, infer_codes, init_bases_pca,
                     objective, pseudo_dictionary)
-from .elastic_net import (ElasticNetConfig, QuadraticProblem,
-                          build_weighted_problem, solve_elastic_net,
-                          solve_weighted_lasso)
+from .elastic_net import ElasticNetConfig, QuadraticProblem, solve_elastic_net
 from .kernels import KernelSpec, weight, weight_profile
+from .moments import local_moments
 from .keller import (EdgeSet, NetworkEstimate, estimate_structure_at,
                      fit_sequence, precision_to_partial_corr,
                      regression_to_partial_corr, symmetrize_edges)

@@ -15,14 +15,19 @@ the feasible subspace, and a backtracking line search on the full objective.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic_net import (ElasticNetConfig, QuadraticProblem, kkt_residuals,
-                          soft_threshold, solve_elastic_net)
+from .elastic_net import (ElasticNetConfig, QuadraticProblem, soft_threshold,
+                          solve_elastic_net)
 from .errors import DegenerateInitializationError, InvalidInputError
-from .kernels import KernelSpec, weight_profile, window_bounds
+from .kernels import KernelSpec, weight_profile  # noqa: F401 (bench/spans.py wraps it here)
+from .moments import local_moments
+
+# moment stacks are multiplied by the bases this many times at once, which
+# bounds the (chunk, k, n, n) intermediate of the coding statistics
+_CHUNK = 256
 
 
 @dataclass
@@ -99,10 +104,16 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """`iterations` counts the outer iterations run. The relative-tolerance
+    test runs after every full pass over the times, `tol_checks` times in
+    all; `converged` says whether it fired."""
+
     bases: BasisSet
     codes: list
     objective_trace: list
     converged: bool
+    iterations: int
+    tol_checks: int
 
 
 def project_symmetric_hollow(M):
@@ -130,60 +141,138 @@ def _all_dictionaries(bases, X):
     return np.einsum("kij,tj->tik", bases.bases, X)
 
 
+def _as_sequence(X):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0 or not np.all(np.isfinite(X)):
+        raise InvalidInputError("X must be a non-empty, finite T x n matrix")
+    return X
+
+
+def _moments_at(X, kernel, times, moments):
+    """S_t at the given times, taken from `moments` (S for every time of X)
+    when it is given."""
+    return local_moments(X, kernel, times) if moments is None else moments[times]
+
+
 def _coding_problem(Y, X, t, kernel):
     """QuadraticProblem of the kernel-weighted coding objective at target t,
-    built from the dictionary stack Y."""
-    T = X.shape[0]
-    lo, hi = window_bounds(t, T, kernel)
-    w = weight_profile(t, np.arange(lo, hi), kernel)
-    rw = np.sqrt(w)
+    built from the dictionary stack Y.
+
+    For each row a, the (k+1)-vectors [D_s[a], x_s[a]] form a sequence over
+    s. The sum over a of their local second moments at t holds
+    sum_s w D_s'D_s in its top-left block, sum_s w D_s'x_s in its last
+    column and sum_s w ||x_s||^2 in its corner.
+    """
     k = Y.shape[2]
-    Z = (Y[lo:hi] * rw[:, None, None]).reshape(-1, k)
-    z = (X[lo:hi] * rw[:, None]).ravel()
-    G = Z.T @ Z
-    b = Z.T @ z
-    c = float(z @ z)
-    return QuadraticProblem(gram=0.5 * (G + G.T), linear=b, offset=c)
+    rows = np.concatenate([Y, X[:, :, None]], axis=2)
+    M = sum(local_moments(rows[:, a], kernel, [t])[0]
+            for a in range(rows.shape[1]))
+    return QuadraticProblem(gram=M[:k, :k], linear=M[:k, k], offset=M[k, k])
+
+
+def _coding_statistics(bases, S):
+    """Coding problems of a (P, n, n) moment stack: G (P, k, k) with
+    G[p, i, j] = tr(A_i S_p A_j), v (P, k) with v[p, i] = tr(A_i S_p) and
+    c (P,) with c[p] = tr(S_p)."""
+    A = bases.bases
+    k, n = A.shape[0], A.shape[1]
+    P = S.shape[0]
+    A_flat = A.reshape(k, n * n)
+    G = np.empty((P, k, k))
+    for lo in range(0, P, _CHUNK):
+        Sc = S[lo:lo + _CHUNK]
+        # AS[i, a, p, c] = (A_i S_p)[a, c], one product for the whole chunk
+        AS = (A.reshape(k * n, n) @ Sc.transpose(1, 0, 2).reshape(n, -1))
+        AS = AS.reshape(k, n, len(Sc), n).transpose(2, 0, 1, 3)
+        # tr(A_i S A_j) = <A_i S, A_j> as A_j is symmetric
+        G[lo:lo + _CHUNK] = AS.reshape(len(Sc), k, n * n) @ A_flat.T
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    v = S.reshape(P, n * n) @ A_flat.T
+    c = np.trace(S, axis1=1, axis2=2)
+    return G, v, c
 
 
 def infer_codes(bases, X, kernel, lambda_beta, alpha, times,
-                warm_starts=None, solver_tol=1e-8, solver_max_sweeps=10000):
+                warm_starts=None, solver_tol=1e-8, solver_max_sweeps=10000,
+                moments=None):
     """Solve the per-time elastic-net coding problems for the given target
-    times, each over its full truncated kernel window."""
-    X = np.asarray(X, dtype=float)
-    Y = _all_dictionaries(bases, X)
+    times, each over its full truncated kernel window.
+
+    `moments` may hold local_moments(X, kernel) for every time of X; they
+    are computed for the target times when it is None.
+    """
+    X = _as_sequence(X)
+    times = [int(t) for t in times]
+    G, v, c = _coding_statistics(bases, _moments_at(X, kernel, times, moments))
     config = ElasticNetConfig(lam=lambda_beta, alpha=alpha,
                               tol=solver_tol, max_sweeps=solver_max_sweeps)
     out = []
     for idx, t in enumerate(times):
-        problem = _coding_problem(Y, X, t, kernel)
+        problem = QuadraticProblem(gram=G[idx], linear=v[idx], offset=c[idx])
         ws = None if warm_starts is None else warm_starts[idx]
         res = solve_elastic_net(problem, config, warm_start=ws)
-        out.append(StructureCode(code=res.coef, time=int(t), converged=res.converged))
+        out.append(StructureCode(code=res.coef, time=t, converged=res.converged))
     return out
 
 
-def _code_penalty(code, lambda_beta, alpha):
-    b = code
-    return (0.5 * alpha * lambda_beta * float(b @ b)
-            + (1.0 - alpha) * lambda_beta * float(np.abs(b).sum()))
+class _CodeStatistics:
+    """Data-fit statistics of fixed codes b_t with moments S_t (the
+    accumulated statistics of online dictionary learning, Mairal et al.
+    2010): total = sum_t tr S_t, R_i = sum_t b_t^i S_t and
+    Q_il = sum_t b_t^i b_t^l S_t. The data fit at any bases A is then
+
+        total - 2 sum_i <A_i, R_i> + sum_i <A_i, M_i>,  M_i = sum_l A_l Q_li,
+
+    and its gradient in A_i is -2 (R_i - M_i), so neither grows with T.
+    """
+
+    def __init__(self, S, B):
+        P, n = S.shape[0], S.shape[1]
+        k = B.shape[1]
+        S_flat = S.reshape(P, n * n)
+        self.total = float(np.trace(S, axis1=1, axis2=2).sum())
+        self.R = (B.T @ S_flat).reshape(k, n, n)
+        BB = (B[:, :, None] * B[:, None, :]).reshape(P, k * k)
+        self.Q = (BB.T @ S_flat).reshape(k, k, n, n)
+
+    def _M(self, A):
+        return np.matmul(A[:, None], self.Q).sum(axis=0)
+
+    def data_fit(self, A):
+        return float(self.total - 2.0 * np.sum(A * self.R)
+                     + np.sum(A * self._M(A)))
+
+    def gradient(self, A):
+        return project_symmetric_hollow(-2.0 * (self.R - self._M(A)))
+
+
+def _code_matrix(codes):
+    return np.stack([c.code for c in codes])
+
+
+def _code_penalty(B, lambda_beta, alpha):
+    """Elastic-net penalty summed over the rows of the code matrix B."""
+    return (0.5 * alpha * lambda_beta * float(np.sum(B * B))
+            + (1.0 - alpha) * lambda_beta * float(np.sum(np.abs(B))))
+
+
+def _basis_penalty(A, lambda_A):
+    return lambda_A * float(np.sum(np.abs(A)))
+
+
+def _statistics(codes, X, kernel, moments):
+    S = _moments_at(X, kernel, [c.time for c in codes], moments)
+    return _CodeStatistics(S, _code_matrix(codes))
 
 
 def objective_components(bases, codes, X, config):
     """(data_fit, code_penalty, basis_penalty) of the joint objective."""
-    X = np.asarray(X, dtype=float)
-    Y = _all_dictionaries(bases, X)
-    T = X.shape[0]
-    data_fit = 0.0
-    code_pen = 0.0
-    for c in codes:
-        lo, hi = window_bounds(c.time, T, config.kernel)
-        w = weight_profile(c.time, np.arange(lo, hi), config.kernel)
-        R = X[lo:hi] - Y[lo:hi] @ c.code
-        data_fit += float(w @ np.einsum("tn,tn->t", R, R))
-        code_pen += _code_penalty(c.code, config.lambda_beta, config.alpha)
-    basis_pen = config.lambda_A * float(np.abs(bases.bases).sum())
-    return data_fit, code_pen, basis_pen
+    X = _as_sequence(X)
+    stats = _statistics(codes, X, config.kernel, None)
+    return (stats.data_fit(bases.bases),
+            _code_penalty(_code_matrix(codes), config.lambda_beta,
+                          config.alpha),
+            _basis_penalty(bases.bases, config.lambda_A))
 
 
 def objective(bases, codes, X, config):
@@ -191,30 +280,14 @@ def objective(bases, codes, X, config):
     return sum(objective_components(bases, codes, X, config))
 
 
-def unsupervised_basis_gradient(bases, codes, X, kernel):
+def unsupervised_basis_gradient(bases, codes, X, kernel, moments=None):
     """Exact gradient of the data-fit term with respect to each basis,
     restricted to the symmetric zero-diagonal subspace.
 
-    Per-dictionary gradients dL/dD_s = sum_t k(t,s) * (-2) (x_s - D_s b_t) b_t'
-    are accumulated, then backpropagated through D_s formation
-    (dA^i += column i of dL/dD_s times x_s'), then projected.
+    `moments` may hold local_moments(X, kernel) for every time of X.
     """
-    X = np.asarray(X, dtype=float)
-    T, n = X.shape
-    k = bases.k
-    Y = _all_dictionaries(bases, X)
-    # u_s = sum_t w(t,s) b_t ; C_s = sum_t w(t,s) b_t b_t'
-    u = np.zeros((T, k))
-    C = np.zeros((T, k, k))
-    for c in codes:
-        lo, hi = window_bounds(c.time, T, kernel)
-        w = weight_profile(c.time, np.arange(lo, hi), kernel)
-        u[lo:hi] += np.outer(w, c.code)
-        C[lo:hi] += w[:, None, None] * np.outer(c.code, c.code)
-    # dL/dD_s = -2 (x_s u_s' - D_s C_s), shape (T, n, k)
-    dD = -2.0 * (X[:, :, None] * u[:, None, :] - np.einsum("snk,skl->snl", Y, C))
-    grads = np.einsum("sni,sm->inm", dD, X)
-    return project_symmetric_hollow(grads)
+    X = _as_sequence(X)
+    return _statistics(codes, X, kernel, moments).gradient(bases.bases)
 
 
 def proximal_l1_step(basis, gradient, step, lambda_A):
@@ -311,68 +384,93 @@ def init_bases_pca(estimates, k, seed=0):
 def _descend(X, config, init_bases, supervised=None):
     """Shared block-coordinate loop for the unsupervised and supervised fits.
 
+    The local moments of X are computed once. Each iteration builds one set
+    of code statistics over all T codes and scores the current bases, every
+    line-search trial and the accepted step with it, so the Armijo test
+    compares one function on both sides.
+
     With supervised=None (or gamma == 1) the supervised terms are skipped
     entirely, so a gamma=1 supervised run reproduces the unsupervised run
     bit for bit.
     """
-    X = np.asarray(X, dtype=float)
     T = X.shape[0]
+    S = local_moments(X, config.kernel)
     rng = np.random.default_rng(config.seed)
     bases = BasisSet(bases=init_bases.bases.copy())
 
     pure_unsup = supervised is None or supervised.gamma >= 1.0
     gamma = 1.0 if pure_unsup else supervised.gamma
 
+    def solve(bases, times, warm=None):
+        return infer_codes(bases, X, config.kernel, config.lambda_beta,
+                           config.alpha, times, warm_starts=warm,
+                           solver_tol=config.solver_tol,
+                           solver_max_sweeps=config.solver_max_sweeps,
+                           moments=S)
+
+    def fixed_codes_objective(codes):
+        """The unsupervised objective as a function of the bases, with the
+        codes held fixed."""
+        B = _code_matrix(codes)
+        stats = _CodeStatistics(S, B)
+        code_pen = _code_penalty(B, config.lambda_beta, config.alpha)
+        return lambda A: (stats.data_fit(A) + code_pen
+                          + _basis_penalty(A, config.lambda_A))
+
+    def full_objective(f, codes, A):
+        val = gamma * f(A)
+        if not pure_unsup:
+            val += (1.0 - gamma) * supervised.loss(codes)
+        return val
+
     # codes for every time so the full objective is always evaluable;
     # non-batch codes are refreshed lazily (batch targets only per iteration)
-    codes = infer_codes(bases, X, config.kernel, config.lambda_beta, config.alpha,
-                        range(T), solver_tol=config.solver_tol,
-                        solver_max_sweeps=config.solver_max_sweeps)
+    codes = solve(bases, range(T))
     if supervised is not None:
         supervised.refit(codes)
 
     batch = min(config.batch_size, T)
     iters_per_pass = max(1, int(np.ceil(T / batch)))
-    trace = [_full_objective(bases, codes, X, config, supervised, gamma)]
+    trace = [full_objective(fixed_codes_objective(codes), codes, bases.bases)]
     converged = False
+    tol_checks = 0
     prev_step = None
     pass_start_obj = trace[0]
-    accepted_in_pass = False
 
     for it in range(config.max_outer_iters):
         if batch >= T:
             targets = np.arange(T)
         else:
             targets = np.sort(rng.choice(T, size=batch, replace=False))
-        warm = [codes[t].code for t in targets]
-        new_codes = infer_codes(bases, X, config.kernel, config.lambda_beta,
-                                config.alpha, targets, warm_starts=warm,
-                                solver_tol=config.solver_tol,
-                                solver_max_sweeps=config.solver_max_sweeps)
-        for c in new_codes:
+        for c in solve(bases, targets, [codes[t].code for t in targets]):
             codes[c.time] = c
         if supervised is not None:
             supervised.refit(codes)
         batch_codes = [codes[t] for t in targets]
 
-        Y = _all_dictionaries(bases, X)
-        grad = unsupervised_basis_gradient(bases, batch_codes, X, config.kernel)
+        grad = unsupervised_basis_gradient(bases, batch_codes, X,
+                                           config.kernel, moments=S)
         if not pure_unsup:
+            Y = _all_dictionaries(bases, X)
             sup_grad = supervised.basis_gradient(bases, batch_codes, X, Y)
             grad = project_symmetric_hollow(gamma * grad + (1.0 - gamma) * sup_grad)
         gns = float(np.sum(grad * grad))
 
-        current = _full_objective(bases, codes, X, config, supervised, gamma)
+        f = fixed_codes_objective(codes)
+        current = full_objective(f, codes, bases.bases)
 
-        def evaluate(step):
-            cand = np.stack([proximal_l1_step(bases.bases[i], grad[i], step,
+        def candidate(step):
+            return np.stack([proximal_l1_step(bases.bases[i], grad[i], step,
                                               config.lambda_A)
                              for i in range(config.k)])
-            cand_set = BasisSet(bases=cand)
-            val = gamma * objective(cand_set, codes, X, config)
+
+        def evaluate(step):
+            cand = candidate(step)
+            val = gamma * f(cand)
             if not pure_unsup:
                 val += (1.0 - gamma) * supervised.resolve_and_loss(
-                    cand_set, X, targets, [codes[t].code for t in targets])
+                    BasisSet(bases=cand), X, targets,
+                    [c.code for c in batch_codes], S)
             return val
 
         if prev_step is None:
@@ -383,57 +481,42 @@ def _descend(X, config, init_bases, supervised=None):
                                      initial_step=s0)
         if accepted:
             prev_step = step
-            accepted_in_pass = True
-            bases = BasisSet(bases=np.stack([
-                proximal_l1_step(bases.bases[i], grad[i], step, config.lambda_A)
-                for i in range(config.k)]))
-            trace.append(_full_objective(bases, codes, X, config, supervised, gamma))
+            bases = BasisSet(bases=candidate(step))
+            trace.append(full_objective(f, codes, bases.bases))
 
         if (it + 1) % iters_per_pass == 0:
+            # a pass without an accepted step leaves the trace unchanged, so
+            # this test also ends a fit that has stalled
+            tol_checks += 1
             cur = trace[-1]
             denom = max(1.0, abs(pass_start_obj))
             if abs(pass_start_obj - cur) <= config.rel_tol * denom:
                 converged = True
                 break
-            if not accepted_in_pass:
-                converged = False
-                break
             pass_start_obj = cur
-            accepted_in_pass = False
 
     # canonical sign: jointly flipping a basis and its code trajectory leaves
     # the objective unchanged, so fix each basis sign by requiring the code
     # component sum over time to be nonnegative
-    code_sums = np.sum([c.code for c in codes], axis=0)
-    flip = np.where(code_sums < 0.0, -1.0, 1.0)
+    flip = np.where(_code_matrix(codes).sum(axis=0) < 0.0, -1.0, 1.0)
     bases = BasisSet(bases=bases.bases * flip[:, None, None])
-    for c in codes:
-        c.code = c.code * flip
 
     # full refresh at exit so every stored code is optimal for the final bases
-    codes = infer_codes(bases, X, config.kernel, config.lambda_beta, config.alpha,
-                        range(T), warm_starts=[c.code for c in codes],
-                        solver_tol=config.solver_tol,
-                        solver_max_sweeps=config.solver_max_sweeps)
+    codes = solve(bases, range(T), [c.code * flip for c in codes])
     if supervised is not None:
         supervised.refit(codes)
-    trace.append(_full_objective(bases, codes, X, config, supervised, gamma))
+    trace.append(full_objective(fixed_codes_objective(codes), codes,
+                                bases.bases))
     return FitResult(bases=bases, codes=codes, objective_trace=trace,
-                     converged=converged)
-
-
-def _full_objective(bases, codes, X, config, supervised, gamma):
-    val = gamma * objective(bases, codes, X, config)
-    if supervised is not None and gamma < 1.0:
-        val += (1.0 - gamma) * supervised.loss(codes)
-    return val
+                     converged=converged, iterations=it + 1,
+                     tol_checks=tol_checks)
 
 
 def fit(X, config, init=None):
     """Block coordinate descent on the joint objective: exact elastic-net
     code refresh for the batch targets, then one proximal gradient step on
     all bases with line search."""
-    X = np.asarray(X, dtype=float)
+    X = _as_sequence(X)
     if init is None:
         if config.init_mode == "keller_pca":
             from .keller import fit_sequence

@@ -126,12 +126,6 @@ class ExperimentManifest:
         d["kernel"] = self.kernel.to_dict()
         return d
 
-    def key_dict(self):
-        """Manifest content relevant to cache keys (location-independent)."""
-        d = self.to_dict()
-        d.pop("output_dir")
-        return d
-
 
 def load_manifest(path, out_override=None):
     try:
@@ -188,8 +182,31 @@ def write_stamp(directory, key, outputs):
     storage.write_json(_stamp_path(directory), {"key": key, "outputs": outputs})
 
 
+# the manifest fields each stage reads; a stage's cache key covers only
+# these, its input files and its algorithm version
+STAGE_FIELDS = {
+    "generate": ("n", "T", "k_true", "smoothness"),
+    "keller": ("T", "train_len", "kernel", "lambda_keller"),
+    "pca": ("train_len", "k_learned"),
+    "basis": ("train_len", "k_learned", "kernel", "lambda_beta", "alpha",
+              "lambda_A", "batch_size", "max_outer_iters"),
+    "basis-supervised": ("train_len", "k_learned", "kernel", "lambda_beta",
+                         "alpha", "lambda_A", "batch_size", "max_outer_iters",
+                         "gamma", "nu"),
+    "eval": ("n", "train_len", "test_len", "kernel", "lambda_beta", "alpha",
+             "nu"),
+    "aggregate": ("seeds",),
+}
+# bump a stage's version whenever its numerics change, so that artifacts of
+# the older algorithm are not taken as up-to-date
+ALGO_VERSION = {"generate": 1, "keller": 2, "pca": 1, "basis": 2,
+                "basis-supervised": 2, "eval": 2, "aggregate": 1}
+
+
 def stage_key(stage, manifest, seed=None, input_files=()):
-    return storage.hash_obj([stage, seed, manifest.key_dict(),
+    d = manifest.to_dict()
+    fields = {name: d[name] for name in STAGE_FIELDS[stage]}
+    return storage.hash_obj([stage, ALGO_VERSION[stage], seed, fields,
                              [storage.hash_file(p) for p in input_files]])
 
 
@@ -305,7 +322,7 @@ def fit_one(manifest, seed, method):
                          "fitlog.json"],
                "basis-supervised": ["bases.json", "codes.csv", "trace.csv",
                                     "classifier.json", "fitlog.json"]}[method]
-    key = stage_key("fit-" + method, manifest, seed, inputs)
+    key = stage_key(method, manifest, seed, inputs)
     if stage_fresh(d, key, outputs):
         return False
 
@@ -344,7 +361,8 @@ def fit_one(manifest, seed, method):
         storage.write_csv_matrix(os.path.join(d, "trace.csv"),
                                  np.asarray(result.objective_trace)[:, None])
         log = {"method": method, "seed": seed,
-               "iterations": len(result.objective_trace),
+               "iterations": result.iterations,
+               "tol_checks": result.tol_checks,
                "converged": bool(result.converged)}
     log["wall_time_s"] = time.perf_counter() - started
     storage.write_json(os.path.join(d, "fitlog.json"), log)
@@ -425,8 +443,8 @@ def eval_one(manifest, seed, oracle=False):
     if oracle:
         inputs.append(os.path.join(data_dir(manifest, seed),
                                    "trajectories.csv"))
-    key = stage_key("eval" + ("-oracle" if oracle else ""), manifest, seed,
-                    inputs)
+    # the oracle's extra input gives it a key of its own
+    key = stage_key("eval", manifest, seed, inputs)
     outputs = ["report.json", "rows.csv"]
     if stage_fresh(d, key, outputs):
         return False

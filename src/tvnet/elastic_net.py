@@ -156,55 +156,3 @@ def solve_elastic_net(problem, config, warm_start=None):
             break
     return ElasticNetResult(coef=beta, converged=converged, n_sweeps=sweeps,
                             objective_trace=trace)
-
-
-def build_weighted_problem(dictionaries, targets, weights):
-    """Accumulate G = sum_t w_t D_t' D_t, b = sum_t w_t D_t' x_t,
-    c = sum_t w_t ||x_t||^2 so that the induced quadratic equals
-    sum_t w_t ||x_t - D_t beta||^2."""
-    if not (len(dictionaries) == len(targets) == len(weights)):
-        raise InvalidInputError("dictionaries, targets, weights must have equal length")
-    if len(dictionaries) == 0:
-        raise InvalidInputError("at least one term is required")
-    D0 = np.asarray(dictionaries[0], dtype=float)
-    k = D0.shape[1]
-    G = np.zeros((k, k))
-    b = np.zeros(k)
-    c = 0.0
-    for D, x, w in zip(dictionaries, targets, weights):
-        D = np.asarray(D, dtype=float)
-        x = np.asarray(x, dtype=float).ravel()
-        w = float(w)
-        if w < 0:
-            raise InvalidInputError("weights must be nonnegative")
-        if D.ndim != 2 or D.shape[1] != k or D.shape[0] != x.shape[0]:
-            raise InvalidInputError("dictionary/target shape mismatch")
-        if w == 0.0:
-            continue
-        G += w * (D.T @ D)
-        b += w * (D.T @ x)
-        c += w * (x @ x)
-    return QuadraticProblem(gram=0.5 * (G + G.T), linear=b, offset=c)
-
-
-def solve_weighted_lasso(covariates, response, weights, lam,
-                         tol=1e-8, max_sweeps=10000, warm_start=None):
-    """Pure-l1 (alpha=0) weighted lasso on (covariates, response, weights)."""
-    C = np.asarray(covariates, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    if C.ndim != 2 or C.shape[0] != y.shape[0] or C.shape[0] != w.shape[0]:
-        raise InvalidInputError("covariates/response/weights shape mismatch")
-    if C.shape[0] < 1:
-        raise InvalidInputError("at least one observation is required")
-    if np.any(w < 0):
-        raise InvalidInputError("weights must be nonnegative")
-    if lam < 0:
-        raise InvalidInputError("lam must be nonnegative")
-    Cw = C * w[:, None]
-    G = C.T @ Cw
-    b = Cw.T @ y
-    c = float(w @ (y * y))
-    problem = QuadraticProblem(gram=0.5 * (G + G.T), linear=b, offset=c)
-    config = ElasticNetConfig(lam=lam, alpha=0.0, tol=tol, max_sweeps=max_sweeps)
-    return solve_elastic_net(problem, config, warm_start=warm_start)

@@ -11,7 +11,8 @@ import numpy as np
 
 from .elastic_net import ElasticNetConfig, QuadraticProblem, solve_elastic_net
 from .errors import InvalidInputError
-from .kernels import weight_profile, window_bounds
+from .kernels import weight_profile  # noqa: F401 (bench/spans.py wraps it here)
+from .moments import local_moments
 
 STANDARDIZATION_TOL = 1e-6
 
@@ -50,19 +51,6 @@ class EdgeSet:
         return len(self.edges)
 
 
-def _weighted_gram(X, t, spec):
-    """Kernel-weighted Gram sum_{t'} k(t,t') x_{t'} x_{t'}^T over the
-    truncated window around t, plus the window and weights used."""
-    T = X.shape[0]
-    lo, hi = window_bounds(t, T, spec)
-    if lo >= hi:
-        lo, hi = 0, T
-    w = weight_profile(t, np.arange(lo, hi), spec)
-    Xw = X[lo:hi] * w[:, None]
-    G = X[lo:hi].T @ Xw
-    return 0.5 * (G + G.T), w, (lo, hi)
-
-
 def _rows_from_gram(G, n, lam, tol, max_sweeps, warm=None):
     """Solve the n row-wise weighted lassos sharing the full Gram G."""
     A = np.zeros((n, n))
@@ -80,24 +68,35 @@ def _rows_from_gram(G, n, lam, tol, max_sweeps, warm=None):
     return A, all_converged
 
 
-def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000, _warm=None):
+def _check_sequence(X):
+    """X as a float array, and whether its columns are far from mean zero."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise InvalidInputError("X must be a T x n matrix with T >= 1")
+    return X, bool(np.abs(X.mean(axis=0)).max() > STANDARDIZATION_TOL)
+
+
+def _estimate(S_t, t, lam, nonstd, tol, max_sweeps, warm):
+    """Row-wise lassos on the kernel-weighted Gram S_t of time t."""
+    A, converged = _rows_from_gram(S_t, S_t.shape[0], lam, tol, max_sweeps,
+                                   warm=warm)
+    return NetworkEstimate(coefficients=A, time=int(t), lam=float(lam),
+                           nonstandardized=nonstd, row_converged=converged)
+
+
+def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000):
     """Kernel-weighted sparse self-regression at time t.
 
     Row i of the result solves the weighted lasso predicting dimension i
     from all other dimensions with weights k(t, t'); the diagonal is zero by
-    construction (dimension i is excluded from its own covariates).
+    construction (dimension i is excluded from its own covariates). The
+    weighted Gram of the window is the local second moment S_t.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InvalidInputError("X must be a T x n matrix with T >= 1")
+    X, nonstd = _check_sequence(X)
     if not (0 <= t < X.shape[0]):
         raise InvalidInputError(f"time index {t} out of range")
-    n = X.shape[1]
-    nonstd = bool(np.abs(X.mean(axis=0)).max() > STANDARDIZATION_TOL)
-    G, _, _ = _weighted_gram(X, t, spec)
-    A, converged = _rows_from_gram(G, n, lam, tol, max_sweeps, warm=_warm)
-    return NetworkEstimate(coefficients=A, time=int(t), lam=float(lam),
-                           nonstandardized=nonstd, row_converged=converged)
+    S_t = local_moments(X, spec, [t])[0]
+    return _estimate(S_t, t, lam, nonstd, tol, max_sweeps, None)
 
 
 def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000, warm_start=True):
@@ -106,11 +105,17 @@ def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000, warm_start=Tru
     Consecutive estimates warm-start each other, which does not change the
     solutions (same convex problems) but speeds up smooth sequences.
     """
+    times = list(times)
+    if not times:
+        return []
+    X, nonstd = _check_sequence(X)
+    if min(times) < 0 or max(times) >= X.shape[0]:
+        raise InvalidInputError("time index out of range")
+    S = local_moments(X, spec, times)
     out = []
     warm = None
-    for t in times:
-        est = estimate_structure_at(X, t, spec, lam, tol=tol, max_sweeps=max_sweeps,
-                                    _warm=warm)
+    for t, S_t in zip(times, S):
+        est = _estimate(S_t, t, lam, nonstd, tol, max_sweeps, warm)
         out.append(est)
         warm = est.coefficients if warm_start else None
     return out

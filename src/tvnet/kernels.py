@@ -83,12 +83,3 @@ def weight_profile(t, indices, spec):
             )
         w = w / total
     return w
-
-
-def window_bounds(t, n_times, spec):
-    """Integer [lo, hi) range of time indices with nonzero truncated weight,
-    assuming indices 0..n_times-1."""
-    radius = spec.truncation * spec.bandwidth
-    lo = max(0, int(np.ceil(t - radius)))
-    hi = min(n_times, int(np.floor(t + radius)) + 1)
-    return lo, hi

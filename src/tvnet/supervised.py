@@ -8,13 +8,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import basis as _basis
-from .basis import (BasisSet, FitConfig, StructureCode,
-                    project_symmetric_hollow, _all_dictionaries,
-                    _coding_problem)
-from .elastic_net import ElasticNetConfig, solve_elastic_net
+from .basis import (FitConfig, infer_codes, project_symmetric_hollow,
+                    _as_sequence)
 from .errors import InvalidInputError, SingularSystemError
-from .kernels import weight_profile, window_bounds
 from .logistic import fit_logistic
+# bound here because bench/spans.py wraps them in this namespace
+from .basis import _coding_problem  # noqa: F401
+from .elastic_net import solve_elastic_net  # noqa: F401
+from .kernels import weight_profile  # noqa: F401
 
 ACTIVE_SET_TOL = 1e-12
 
@@ -48,13 +49,10 @@ class SupervisedConfig:
     base: FitConfig
     nu: float = 1e-2
     classifier_refit_tol: float = 1e-8
-    gram_mode: str = "single"   # 'single' (per-instance Gram) or 'kernel_weighted'
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise InvalidInputError("gamma must lie in [0, 1]")
-        if self.gram_mode not in ("single", "kernel_weighted"):
-            raise InvalidInputError(f"unknown gram_mode {self.gram_mode!r}")
         if not self.classifier_refit_tol > 0:
             raise InvalidInputError("classifier_refit_tol must be positive")
 
@@ -157,34 +155,23 @@ class _SupervisedHook:
             t = c.time
             g_code = supervised_code_gradient(self.classifier, c,
                                               int(self.labels[t]))
-            gram = None
-            if self.config.gram_mode == "kernel_weighted":
-                T = X.shape[0]
-                lo, hi = window_bounds(t, T, cfg.kernel)
-                w = weight_profile(t, np.arange(lo, hi), cfg.kernel)
-                k = Y.shape[2]
-                Z = (Y[lo:hi] * np.sqrt(w)[:, None, None]).reshape(-1, k)
-                gram = Z.T @ Z
             dD = supervised_dict_gradient(Y[t], c, X[t], g_code,
-                                          cfg.alpha * cfg.lambda_beta, gram=gram)
+                                          cfg.alpha * cfg.lambda_beta)
             grads += np.einsum("ni,m->inm", dD, X[t])
         return project_symmetric_hollow(grads / len(codes))
 
-    def resolve_and_loss(self, cand_bases, X, times, warm):
+    def resolve_and_loss(self, cand_bases, X, times, warm, moments):
         """Supervised loss with codes re-solved at candidate bases for the
         given times (the line-search evaluator for the gamma-mixed
-        objective)."""
+        objective). `moments` holds local_moments(X, kernel)."""
         cfg = self.config.base
-        Y = _all_dictionaries(cand_bases, X)
-        encfg = ElasticNetConfig(lam=cfg.lambda_beta, alpha=cfg.alpha,
-                                 tol=cfg.solver_tol,
-                                 max_sweeps=cfg.solver_max_sweeps)
-        total = 0.0
-        for t, ws in zip(times, warm):
-            problem = _coding_problem(Y, X, t, cfg.kernel)
-            res = solve_elastic_net(problem, encfg, warm_start=ws)
-            code = StructureCode(code=res.coef, time=int(t))
-            total += logistic_loss(self.classifier, code, int(self.labels[t]))
+        codes = infer_codes(cand_bases, X, cfg.kernel, cfg.lambda_beta,
+                            cfg.alpha, times, warm_starts=warm,
+                            solver_tol=cfg.solver_tol,
+                            solver_max_sweeps=cfg.solver_max_sweeps,
+                            moments=moments)
+        total = sum(logistic_loss(self.classifier, c, int(self.labels[c.time]))
+                    for c in codes)
         w = self.classifier.weights
         return total / len(times) + 0.5 * self.config.nu * float(w @ w)
 
@@ -196,12 +183,15 @@ def fit_supervised(X, labels, config, init):
 
     Returns (FitResult, LinearClassifier).
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_sequence(X)
     labels = np.asarray(labels, dtype=float).ravel()
     if labels.shape[0] != X.shape[0]:
         raise InvalidInputError("labels must cover every training time")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise InvalidInputError("labels must be in {-1, +1}")
+    if np.unique(labels).size < 2:
+        # the classifier refit would reject it after the first code solves
+        raise InvalidInputError("both classes must be present")
     if init.k != config.base.k or init.n != X.shape[1]:
         raise InvalidInputError("init basis set shape does not match config/data")
     hook = _SupervisedHook(labels, config)

@@ -68,7 +68,8 @@ class TestInferCodes:
         assert all(np.all(c.code == 0.0) for c in codes)
 
     def test_single_time_boxcar_equals_direct_solve(self):
-        from tvnet.elastic_net import build_weighted_problem, solve_elastic_net
+        from reference import build_weighted_problem
+        from tvnet.elastic_net import solve_elastic_net
         rng = np.random.default_rng(2)
         bases = random_hollow_bases(4, 2, 3)
         X = rng.standard_normal((5, 4))
@@ -94,7 +95,8 @@ class TestInferCodes:
 
 class TestObjective:
     def test_zero_codes_residual_equals_data(self):
-        from tvnet.kernels import weight_profile, window_bounds
+        from reference import window_bounds
+        from tvnet.kernels import weight_profile
         rng = np.random.default_rng(4)
         bases, X, _ = random_instance(rng, 4, 2, 7)
         codes = [StructureCode(code=np.zeros(2), time=t) for t in range(7)]
@@ -114,7 +116,8 @@ class TestObjective:
         assert basis_pen == 0.0
 
     def test_matches_term_by_term_recomputation(self):
-        from tvnet.kernels import weight_profile, window_bounds
+        from reference import window_bounds
+        from tvnet.kernels import weight_profile
         rng = np.random.default_rng(5)
         bases, X, codes = random_instance(rng, 3, 2, 6)
         config = make_config(2)
@@ -319,6 +322,32 @@ class TestFit:
             alt = [StructureCode(code=c.code + 0.1 * rng.standard_normal(2),
                                  time=c.time) for c in result.codes]
             assert objective(result.bases, alt, X, config) >= best - 1e-12
+
+    def test_iterations_and_tolerance_checks(self):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((12, 3))
+        # full batch: the relative-tolerance test runs after every iteration
+        loose = fit(X, make_config(2, max_outer_iters=5, rel_tol=1.0))
+        assert (loose.iterations, loose.tol_checks, loose.converged) == (
+            1, 1, True)
+        capped = fit(X, make_config(2, max_outer_iters=3, rel_tol=0.0))
+        assert capped.tol_checks == capped.iterations
+        assert capped.converged or capped.iterations == 3
+        assert len(capped.objective_trace) <= capped.iterations + 2
+        # batches of 4 of 12 times: one check per three iterations
+        batched = fit(X, make_config(2, batch_size=4, max_outer_iters=7,
+                                     rel_tol=0.0))
+        assert batched.tol_checks == batched.iterations // 3
+
+    @pytest.mark.parametrize("X", [np.array([[0.0, np.nan], [1.0, 2.0]]),
+                                   np.array([[np.inf, 0.0]]),
+                                   np.zeros(4), np.zeros((2, 2, 2))])
+    def test_bad_sequence_rejected(self, X):
+        bases = random_hollow_bases(2, 1, 0)
+        with pytest.raises(InvalidInputError):
+            fit(X, make_config(1), init=bases)
+        with pytest.raises(InvalidInputError):
+            infer_codes(bases, X, KERNEL, 0.1, 0.5, [0])
 
     def test_bases_stay_feasible(self):
         rng = np.random.default_rng(16)

@@ -164,6 +164,21 @@ class TestFit:
         cli.fit_one(generated, 0, "keller")
         assert not cli.fit_one(generated, 0, "keller")
 
+    def test_fitlog_counts_outer_iterations(self, generated):
+        cli.fit_one(generated, 0, "keller")
+        cli.fit_one(generated, 0, "basis")
+        log = storage.read_json(os.path.join(cli.fit_dir(generated, 0,
+                                                         "basis"),
+                                             "fitlog.json"))
+        trace = storage.read_csv_matrix(
+            os.path.join(cli.fit_dir(generated, 0, "basis"), "trace.csv"))
+        assert 1 <= log["iterations"] <= generated.max_outer_iters
+        # the trace holds the start, one point per accepted step and the end
+        assert len(trace) <= log["iterations"] + 2
+        # full batch: the tolerance test runs after every iteration
+        assert log["tol_checks"] == log["iterations"]
+        assert log["converged"] or log["iterations"] == generated.max_outer_iters
+
 
 @pytest.fixture
 def fitted(generated):
@@ -234,6 +249,45 @@ class TestExperiment:
                     os.unlink(os.path.join(root, f))
         cli.cmd_experiment(m, echo=lambda *_: None)
         assert open(rows_path, "rb").read() == before
+
+
+def seed_pass(m, seed=0):
+    """Which stages of one seed ran (True) or were up-to-date (False)."""
+    ran = {"generate": cli.generate_one(m, seed)}
+    for method in cli.METHODS:
+        ran[method] = cli.fit_one(m, seed, method)
+    ran["eval"] = cli.eval_one(m, seed)
+    return ran
+
+
+class TestStageCache:
+    def test_gamma_edit_reruns_only_what_reads_gamma(self, tmp_path):
+        assert all(seed_pass(load(tmp_path, seeds=[0])).values())
+        ran = seed_pass(load(tmp_path, seeds=[0], gamma=0.5))
+        assert ran == {"generate": False, "keller": False, "pca": False,
+                       "basis": False, "basis-supervised": True,
+                       "eval": True}
+
+    def test_keller_edit_reruns_keller_and_downstream(self, tmp_path):
+        assert all(seed_pass(load(tmp_path, seeds=[0])).values())
+        ran = seed_pass(load(tmp_path, seeds=[0], lambda_keller=0.02))
+        assert ran == {"generate": False, "keller": True, "pca": True,
+                       "basis": True, "basis-supervised": True,
+                       "eval": True}
+
+    def test_version_bump_reruns_its_stage(self, tmp_path, monkeypatch):
+        m = load(tmp_path, seeds=[0])
+        seed_pass(m)
+        bases = os.path.join(cli.fit_dir(m, 0, "basis"), "bases.json")
+        before = open(bases, "rb").read()
+        monkeypatch.setitem(cli.ALGO_VERSION, "basis",
+                            cli.ALGO_VERSION["basis"] + 1)
+        ran = seed_pass(m)
+        # the rerun writes the same bytes, so nothing downstream reruns
+        assert ran == {"generate": False, "keller": False, "pca": False,
+                       "basis": True, "basis-supervised": False,
+                       "eval": False}
+        assert open(bases, "rb").read() == before
 
 
 class TestMain:

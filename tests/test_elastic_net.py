@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from tvnet.elastic_net import (ElasticNetConfig, QuadraticProblem,
-                               build_weighted_problem, kkt_residuals,
-                               objective_value, solve_elastic_net,
-                               solve_weighted_lasso)
+                               kkt_residuals, objective_value,
+                               solve_elastic_net)
 from tvnet.errors import DegenerateProblemError, InvalidInputError
+
+# the window-sum oracles of tests/reference.py, checked here on known cases
+from reference import build_weighted_problem, solve_weighted_lasso
 
 
 def random_psd_problem(rng, k):

@@ -59,7 +59,7 @@ class TestEstimateStructureAt:
 
     def test_row_decomposition_matches_direct_lasso(self):
         # the joint matrix problem decomposes into n independent row lassos
-        from tvnet.elastic_net import solve_weighted_lasso
+        from reference import solve_weighted_lasso
         from tvnet.kernels import weight_profile
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 4))

@@ -54,10 +54,6 @@ class TestSupervisedConfig:
         with pytest.raises(InvalidInputError):
             SupervisedConfig(gamma=-0.1, base=base)
 
-    def test_bad_gram_mode(self):
-        with pytest.raises(InvalidInputError):
-            SupervisedConfig(gamma=0.5, base=make_config(2), gram_mode="other")
-
 
 class TestLogisticLoss:
     def test_zero_weights_give_log_two(self):
@@ -240,24 +236,6 @@ class TestHookGradient:
             checked += 1
         assert checked == 10
 
-    def test_gram_modes_agree_on_point_windows(self):
-        rng = np.random.default_rng(5)
-        cfg = make_config(2)
-        X = rng.standard_normal((8, 4))
-        labels = np.where(rng.random(8) < 0.5, 1.0, -1.0)
-        bases = random_hollow_bases(4, 2, 9)
-        codes = infer_codes(bases, X, cfg.kernel, cfg.lambda_beta,
-                            cfg.alpha, range(8))
-        Y = _all_dictionaries(bases, X)
-        grads = {}
-        for mode in ("single", "kernel_weighted"):
-            sup_cfg = SupervisedConfig(gamma=0.5, base=cfg, gram_mode=mode)
-            hook = _SupervisedHook(labels, sup_cfg)
-            hook.classifier = LinearClassifier(
-                weights=np.array([0.7, -1.2]), ridge=sup_cfg.nu)
-            grads[mode] = hook.basis_gradient(bases, codes, X, Y)
-        assert np.abs(grads["single"] - grads["kernel_weighted"]).max() < 1e-10
-
     def test_refit_reaches_stationarity(self):
         rng = np.random.default_rng(6)
         cfg = make_config(2)
@@ -326,6 +304,27 @@ class TestFitSupervised:
         bad[0] = 0.0
         with pytest.raises(InvalidInputError):
             fit_supervised(X, bad, sup_cfg, init)
+
+    def test_single_class_rejected_before_any_solve(self, monkeypatch):
+        import tvnet.basis
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a code was solved")
+
+        monkeypatch.setattr(tvnet.basis, "solve_elastic_net", no_solve)
+        X, labels, init = make_problem(12)
+        sup_cfg = SupervisedConfig(gamma=0.5, base=make_config(2))
+        with pytest.raises(InvalidInputError, match="both classes"):
+            fit_supervised(X, np.ones_like(labels), sup_cfg, init)
+
+    def test_bad_sequence_rejected(self):
+        X, labels, init = make_problem(13)
+        sup_cfg = SupervisedConfig(gamma=0.5, base=make_config(2))
+        X[3, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            fit_supervised(X, labels, sup_cfg, init)
+        with pytest.raises(InvalidInputError):
+            fit_supervised(X[0], labels[:1], sup_cfg, init)
 
     def test_deterministic(self):
         X, labels, init = make_problem(11)
