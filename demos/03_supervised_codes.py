@@ -12,9 +12,9 @@ import numpy as np
 
 from tvnet import (FitConfig, KernelSpec, SupervisedConfig,
                    accumulate_evidence, classification_error, fit_supervised,
-                   generate_sequence, make_ground_truth, standardize,
-                   train_logistic_l2)
+                   generate_sequence, make_ground_truth, standardize)
 from tvnet.basis import random_hollow_bases
+from tvnet.logistic import fit_logistic
 
 truth = make_ground_truth(n=8, T=900, smoothness=40.0, seed=3)
 X = standardize(generate_sequence(truth))
@@ -35,7 +35,7 @@ for gamma in (1.0, 0.75):
                            infer_codes(result.bases, X[train:], base.kernel,
                                        base.lambda_beta, base.alpha,
                                        range(900 - train))])
-    w, b = train_logistic_l2(train_codes, y[:train], ridge=0.01)
+    w, b = fit_logistic(train_codes, y[:train], ridge=0.01, intercept=True)
     err = classification_error(w, test_codes, y[train:], intercept=b)
     print(f"gamma={gamma:.2f}  test error {err:.3f}")
 

@@ -28,6 +28,8 @@ from .moments import local_moments
 # moment stacks are multiplied by the bases this many times at once, which
 # bounds the (chunk, k, n, n) intermediate of the coding statistics
 _CHUNK = 256
+# l1 weight of the self-regression estimates behind init_mode='keller_pca'
+KELLER_INIT_LAMBDA = 0.1
 
 
 @dataclass
@@ -71,7 +73,6 @@ class LineSearchConfig:
     shrink: float = 0.5
     sufficient_decrease: float = 1e-4
     max_backtracks: int = 30
-    initial_step: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ class FitConfig:
     line_search: LineSearchConfig = LineSearchConfig()
     seed: int = 0
     init_mode: str = "random"          # 'random' or 'keller_pca', used when fit(init=None)
-    init_keller_lambda: float = 0.1
     solver_tol: float = 1e-8
     solver_max_sweeps: int = 10000
 
@@ -126,14 +126,6 @@ def project_symmetric_hollow(M):
         idx = np.arange(S.shape[-1])
         S[..., idx, idx] = 0.0
     return S
-
-
-def pseudo_dictionary(bases, x):
-    """n x k matrix whose column i is A^i x."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != bases.n:
-        raise InvalidInputError("x length must match basis dimension")
-    return np.einsum("kij,j->ik", bases.bases, x)
 
 
 def _all_dictionaries(bases, X):
@@ -302,21 +294,21 @@ def proximal_l1_step(basis, gradient, step, lambda_A):
 
 
 def line_search(current_objective, candidate_evaluator, gradient_norm_sq,
-                config, initial_step=None):
-    """Backtracking line search with the Armijo sufficient-decrease test
-    f(step) <= current - c1 * step * ||grad||^2.
+                config, initial_step):
+    """Backtracking line search from `initial_step` with the Armijo
+    sufficient-decrease test f(step) <= current - c1 * step * ||grad||^2,
+    under the LineSearchConfig `config`.
 
     Returns (step, accepted); (0.0, False) when no trial step qualifies.
     """
     if gradient_norm_sq < 0:
         raise InvalidInputError("gradient_norm_sq must be nonnegative")
-    ls = config.line_search if isinstance(config, FitConfig) else config
-    step = ls.initial_step if initial_step is None else initial_step
-    for _ in range(ls.max_backtracks):
+    step = initial_step
+    for _ in range(config.max_backtracks):
         value = candidate_evaluator(step)
-        if value <= current_objective - ls.sufficient_decrease * step * gradient_norm_sq:
+        if value <= current_objective - config.sufficient_decrease * step * gradient_norm_sq:
             return step, True
-        step *= ls.shrink
+        step *= config.shrink
     return 0.0, False
 
 
@@ -477,8 +469,8 @@ def _descend(X, config, init_bases, supervised=None):
             s0 = 1.0 / max(np.sqrt(gns), 1e-12)
         else:
             s0 = 2.0 * prev_step
-        step, accepted = line_search(current, evaluate, gns, config,
-                                     initial_step=s0)
+        step, accepted = line_search(current, evaluate, gns,
+                                     config.line_search, initial_step=s0)
         if accepted:
             prev_step = step
             bases = BasisSet(bases=candidate(step))
@@ -522,7 +514,7 @@ def fit(X, config, init=None):
             from .keller import fit_sequence
             T = X.shape[0]
             times = np.unique(np.linspace(0, T - 1, min(T, 200)).astype(int))
-            ests = fit_sequence(X, config.kernel, config.init_keller_lambda, times)
+            ests = fit_sequence(X, config.kernel, KELLER_INIT_LAMBDA, times)
             init = init_bases_pca(ests, config.k, seed=config.seed)
         elif config.init_mode == "random":
             init = random_hollow_bases(X.shape[1], config.k, config.seed)

@@ -11,22 +11,27 @@ import concurrent.futures
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import storage
-from .basis import BasisSet, FitConfig, fit, infer_codes, init_bases_pca
+from .basis import FitConfig, fit, infer_codes, init_bases_pca
 from .errors import InvalidInputError, TvnetError
 from .evaluate import (as_projection_basis, best_match_score,
-                       classification_error, pca_projection_features,
-                       train_logistic_l2)
+                       classification_error, pca_projection_features)
 from .keller import NetworkEstimate, fit_sequence
 from .kernels import KernelSpec
+from .logistic import fit_logistic
 from .supervised import SupervisedConfig, fit_supervised
 from .synth import generate_sequence, make_ground_truth
 
 METHODS = ("keller", "pca", "basis", "basis-supervised")
+# the artifact each fit writes, and the fit whose artifact each one reads:
+# the basis stages start from the principal structures of the pca stage
+ARTIFACTS = {"keller": "estimates.json", "pca": "bases.json",
+             "basis": "bases.json", "basis-supervised": "bases.json"}
+UPSTREAM = {"pca": "keller", "basis": "pca", "basis-supervised": "pca"}
 SCHEMA_VERSION = 1
 REPORT_HEADER = "n,method,seed,error,similarity"
 AGGREGATE_HEADER = "n,method,error_mean,error_sd,similarity_mean,similarity_sd"
@@ -38,6 +43,18 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+
+def _seed_list(value):
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(int(s) != s for s in value)):
+        raise ValueError("expected a non-empty list of integers")
+    return tuple(int(s) for s in value)
+
+
+# how a manifest field of each annotated type is read from its JSON value
+_READERS = {int: int, float: float, str: str, tuple: _seed_list,
+            KernelSpec: KernelSpec.from_dict}
 
 
 @dataclass(frozen=True)
@@ -63,14 +80,18 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, d):
-        problems = []
-        required = ["n", "T", "train_len", "test_len", "k_true", "k_learned",
-                    "seeds", "kernel", "lambda_beta", "alpha", "lambda_A",
-                    "lambda_keller", "gamma", "nu", "batch_size",
-                    "max_outer_iters", "smoothness", "output_dir"]
-        for key in required:
-            if key not in d:
-                problems.append(f"missing field {key!r}")
+        if not isinstance(d, dict):
+            raise InvalidInputError("invalid manifest: not a JSON object")
+        problems = [f"missing field {f.name!r}" for f in fields(cls)
+                    if f.name not in d]
+        if problems:
+            raise InvalidInputError("invalid manifest: " + "; ".join(problems))
+        v = {}
+        for f in fields(cls):
+            try:
+                v[f.name] = _READERS[f.type](d[f.name])
+            except (TypeError, ValueError, KeyError) as exc:
+                problems.append(f"bad {f.name}: {exc}")
         if problems:
             raise InvalidInputError("invalid manifest: " + "; ".join(problems))
 
@@ -78,50 +99,27 @@ class ExperimentManifest:
             if not cond:
                 problems.append(msg)
 
-        check(int(d["n"]) >= 2, "n must be >= 2")
-        check(int(d["T"]) >= 1, "T must be >= 1")
-        check(int(d["train_len"]) >= 1 and int(d["test_len"]) >= 0,
+        check(v["n"] >= 2, "n must be >= 2")
+        check(v["T"] >= 1, "T must be >= 1")
+        check(v["train_len"] >= 1 and v["test_len"] >= 0,
               "train_len must be >= 1 and test_len >= 0")
-        check(int(d["train_len"]) + int(d["test_len"]) <= int(d["T"]),
+        check(v["train_len"] + v["test_len"] <= v["T"],
               "train_len + test_len must not exceed T")
-        check(int(d["k_true"]) >= 2, "k_true must be >= 2")
-        check(int(d["k_learned"]) >= 1, "k_learned must be >= 1")
-        seeds = d["seeds"]
-        check(isinstance(seeds, (list, tuple)) and len(seeds) >= 1
-              and all(int(s) == s for s in seeds),
-              "seeds must be a non-empty list of integers")
+        check(v["k_true"] >= 2, "k_true must be >= 2")
+        check(v["k_learned"] >= 1, "k_learned must be >= 1")
         for key in ("lambda_beta", "lambda_A", "lambda_keller", "nu"):
-            check(float(d[key]) >= 0.0, f"{key} must be nonnegative")
-        check(0.0 <= float(d["alpha"]) <= 1.0, "alpha must lie in [0, 1]")
-        check(0.0 <= float(d["gamma"]) <= 1.0, "gamma must lie in [0, 1]")
-        check(int(d["batch_size"]) >= 1, "batch_size must be >= 1")
-        check(int(d["max_outer_iters"]) >= 1, "max_outer_iters must be >= 1")
-        check(float(d["smoothness"]) > 0.0, "smoothness must be positive")
+            check(v[key] >= 0.0, f"{key} must be nonnegative")
+        check(0.0 <= v["alpha"] <= 1.0, "alpha must lie in [0, 1]")
+        check(0.0 <= v["gamma"] <= 1.0, "gamma must lie in [0, 1]")
+        check(v["batch_size"] >= 1, "batch_size must be >= 1")
+        check(v["max_outer_iters"] >= 1, "max_outer_iters must be >= 1")
+        check(v["smoothness"] > 0.0, "smoothness must be positive")
         if problems:
             raise InvalidInputError("invalid manifest: " + "; ".join(problems))
-        try:
-            kernel = KernelSpec.from_dict(d["kernel"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"invalid manifest: bad kernel spec ({exc})")
-        return cls(n=int(d["n"]), T=int(d["T"]), train_len=int(d["train_len"]),
-                   test_len=int(d["test_len"]), k_true=int(d["k_true"]),
-                   k_learned=int(d["k_learned"]),
-                   seeds=tuple(int(s) for s in seeds), kernel=kernel,
-                   lambda_beta=float(d["lambda_beta"]), alpha=float(d["alpha"]),
-                   lambda_A=float(d["lambda_A"]),
-                   lambda_keller=float(d["lambda_keller"]),
-                   gamma=float(d["gamma"]), nu=float(d["nu"]),
-                   batch_size=int(d["batch_size"]),
-                   max_outer_iters=int(d["max_outer_iters"]),
-                   smoothness=float(d["smoothness"]),
-                   output_dir=str(d["output_dir"]))
+        return cls(**v)
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in
-             ("n", "T", "train_len", "test_len", "k_true", "k_learned",
-              "lambda_beta", "alpha", "lambda_A", "lambda_keller", "gamma",
-              "nu", "batch_size", "max_outer_iters", "smoothness",
-              "output_dir")}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["seeds"] = list(self.seeds)
         d["kernel"] = self.kernel.to_dict()
         return d
@@ -130,8 +128,6 @@ class ExperimentManifest:
 def load_manifest(path, out_override=None):
     try:
         raw = storage.read_json(path)
-    except FileNotFoundError:
-        raise
     except ValueError as exc:
         raise InvalidInputError(f"invalid manifest: not valid JSON ({exc})")
     if out_override is not None:
@@ -283,9 +279,20 @@ def _fit_config(manifest, seed):
 
 
 def _init_from_keller(manifest, seed):
+    """The pca stage: principal structures of the training-time keller
+    estimates, which the basis stages start from."""
     estimates = _load_keller_estimates(manifest, seed)[:manifest.train_len]
     step = max(1, len(estimates) // MAX_INIT_ESTIMATES)
     return init_bases_pca(estimates[::step], manifest.k_learned, seed=seed)
+
+
+def _artifact(manifest, seed, method):
+    """Path of the fit artifact of `method`, which must exist."""
+    path = os.path.join(fit_dir(manifest, seed, method), ARTIFACTS[method])
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing fit artifact {path}; "
+                                f"fit method={method} first")
+    return path
 
 
 def cmd_fit(manifest, seed, method, echo=print):
@@ -307,12 +314,9 @@ def fit_one(manifest, seed, method):
     if not os.path.exists(seq):
         raise FileNotFoundError(f"missing data file {seq}; run generate first")
     inputs = [seq]
-    if method in ("pca", "basis", "basis-supervised"):
-        est = os.path.join(fit_dir(manifest, seed, "keller"), "estimates.json")
-        if not os.path.exists(est):
-            raise FileNotFoundError(f"missing fit artifact {est}; "
-                                    "fit method=keller first")
-        inputs.append(est)
+    if method in UPSTREAM:
+        upstream = _artifact(manifest, seed, UPSTREAM[method])
+        inputs.append(upstream)
     if method == "basis-supervised":
         inputs.append(os.path.join(data_dir(manifest, seed), "labels.csv"))
 
@@ -343,7 +347,7 @@ def fit_one(manifest, seed, method):
         log = {"method": method, "seed": seed, "iterations": 1,
                "converged": True}
     else:
-        init = _init_from_keller(manifest, seed)
+        init = storage.basis_set_from_dict(storage.read_json(upstream))
         config = _fit_config(manifest, seed)
         Xtrain = X[:manifest.train_len]
         if method == "basis":
@@ -429,14 +433,7 @@ def eval_one(manifest, seed, oracle=False):
     inputs = [os.path.join(data_dir(manifest, seed), "sequence.csv"),
               os.path.join(data_dir(manifest, seed), "labels.csv"),
               os.path.join(data_dir(manifest, seed), "truth.json")]
-    artifact_map = {"keller": "estimates.json", "pca": "bases.json",
-                    "basis": "bases.json", "basis-supervised": "bases.json"}
-    for method, name in artifact_map.items():
-        path = os.path.join(fit_dir(manifest, seed, method), name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing fit artifact {path}; "
-                                    f"fit method={method} first")
-        inputs.append(path)
+    inputs += [_artifact(manifest, seed, method) for method in METHODS]
     for method in ("basis", "basis-supervised"):
         inputs.append(os.path.join(fit_dir(manifest, seed, method),
                                    "codes.csv"))
@@ -457,7 +454,8 @@ def eval_one(manifest, seed, oracle=False):
     results = []
     for method in METHODS:
         F_train, F_test = _method_features(manifest, seed, method, X)
-        w, b = train_logistic_l2(F_train, y_train, ridge=manifest.nu)
+        w, b = fit_logistic(F_train, y_train, ridge=manifest.nu,
+                            intercept=True)
         error = classification_error(w, F_test, y_test, intercept=b)
         results.append({"method": method, "error": error,
                         "similarity": _method_similarity(manifest, seed,

@@ -25,21 +25,5 @@ class DegenerateNormalizationError(TvnetError):
     """A matrix whose off-diagonal pattern is constant and cannot be normalized."""
 
 
-class NotPositiveDefiniteError(TvnetError):
-    """Cholesky or PD check failure; carries the failing pivot index."""
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
-
-
-class RankDeficientError(TvnetError):
-    """A covariance too close to singular; carries the offending eigenvalue."""
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
-
 class SingularSystemError(TvnetError):
     """A linear system (active-set Gram) that cannot be solved."""

@@ -1,6 +1,6 @@
 """Evaluation: matrix-correlation similarity against the generating
-precisions, PCA-projection features, logistic classification error, and
-evidence accumulation over a window.
+precisions, PCA-projection features, classification error, and evidence
+accumulation over a window.
 """
 
 from dataclasses import dataclass
@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import BasisSet, _vec_upper
 from .errors import DegenerateNormalizationError, InvalidInputError
-from .logistic import fit_logistic
+from .logistic import fit_logistic  # noqa: F401 (bench/spans.py wraps it here)
 
 
 @dataclass
@@ -91,12 +91,6 @@ def pca_projection_features(estimate, principal):
     A = np.asarray(estimate.coefficients, dtype=float)
     u = _vec_upper(0.5 * (A + A.T))
     return V @ u
-
-
-def train_logistic_l2(features, labels, ridge, tol=1e-8, init=None):
-    """l2-regularized logistic regression with an unregularized intercept,
-    solved by damped Newton. Returns (weights, intercept)."""
-    return fit_logistic(features, labels, ridge, tol=tol, intercept=True, init=init)
 
 
 def classification_error(weights, features, labels, intercept=0.0):

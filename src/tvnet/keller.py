@@ -5,7 +5,7 @@ identities linking precision entries to self-regression coefficients.
 Time indices are 0-based (0..T-1) throughout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000):
     return _estimate(S_t, t, lam, nonstd, tol, max_sweeps, None)
 
 
-def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000, warm_start=True):
+def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000):
     """estimate_structure_at for every requested time, in the given order.
 
     Consecutive estimates warm-start each other, which does not change the
@@ -117,7 +117,7 @@ def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000, warm_start=Tru
     for t, S_t in zip(times, S):
         est = _estimate(S_t, t, lam, nonstd, tol, max_sweeps, warm)
         out.append(est)
-        warm = est.coefficients if warm_start else None
+        warm = est.coefficients
     return out
 
 

@@ -61,11 +61,6 @@ def _raw_weight(dist, spec):
     return np.maximum(0.0, 1.0 - (d / h) ** 2)
 
 
-def weight(t, t_prime, spec):
-    """Raw kernel weight for a single pair, before truncation/normalization."""
-    return float(_raw_weight(t - t_prime, spec))
-
-
 def weight_profile(t, indices, spec):
     """Weights of `indices` relative to target t, truncated and optionally
     normalized to sum to 1."""

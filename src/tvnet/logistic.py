@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+MAX_NEWTON_ITERS = 200
+
 
 def _check_labels(y):
     y = np.asarray(y, dtype=float).ravel()
@@ -17,15 +19,8 @@ def _check_labels(y):
     return y
 
 
-def logistic_objective(Z, y, ridge, w, intercept=0.0):
-    m = Z.shape[0]
-    margins = y * (Z @ w + intercept)
-    dev = np.logaddexp(0.0, -margins).mean()
-    return dev + 0.5 * ridge * float(w @ w)
-
-
 def fit_logistic(features, labels, ridge, tol=1e-8, intercept=True,
-                 init=None, max_iters=200):
+                 init=None):
     """Returns (weights, intercept); intercept is 0.0 when intercept=False.
 
     Stops when the gradient norm of the objective drops below tol.
@@ -58,7 +53,7 @@ def fit_logistic(features, labels, ridge, tol=1e-8, intercept=True,
         return np.logaddexp(0.0, -margins).mean() + 0.5 * float((reg * th) @ th)
 
     obj = value(theta)
-    for _ in range(max_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         margins = y * (Z @ theta)
         s = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))  # sigma(-margin)
         grad = -(Z.T @ (y * s)) / m + reg * theta

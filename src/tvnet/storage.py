@@ -69,22 +69,9 @@ def read_codes_csv(path):
     return M[:, 0].astype(int), M[:, 1:]
 
 
-def basis_set_to_dict(bases):
-    return {"n": int(bases.n), "k": int(bases.k),
-            "bases": [b.ravel().tolist() for b in bases.bases]}
-
-
-def basis_set_from_dict(d):
-    n, k = int(d["n"]), int(d["k"])
-    mats = np.asarray(d["bases"], dtype=float)
-    if mats.shape != (k, n * n):
-        raise InvalidInputError("basis JSON shape does not match its n/k fields")
-    return BasisSet(bases=mats.reshape(k, n, n))
-
-
 def matrices_to_dict(mats):
-    """Sequence of same-size square matrices in the basis JSON layout (no
-    symmetry requirement, used for network-estimate sequences)."""
+    """Sequence of same-size square matrices in the basis JSON layout
+    {"n", "k", "bases": [row-major n*n lists]}; no symmetry requirement."""
     mats = [np.asarray(M, dtype=float) for M in mats]
     n = mats[0].shape[0]
     return {"n": n, "k": len(mats), "bases": [M.ravel().tolist() for M in mats]}
@@ -96,6 +83,14 @@ def matrices_from_dict(d):
     if mats.shape != (k, n * n):
         raise InvalidInputError("matrix JSON shape does not match its n/k fields")
     return [mats[i].reshape(n, n) for i in range(k)]
+
+
+def basis_set_to_dict(bases):
+    return matrices_to_dict(bases.bases)
+
+
+def basis_set_from_dict(d):
+    return BasisSet(bases=np.stack(matrices_from_dict(d)))
 
 
 def hash_bytes(data):

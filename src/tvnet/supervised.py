@@ -3,7 +3,7 @@ structure codes, backpropagated through the elastic-net coding argmin into
 the bases, mixed with the unsupervised gradient by a factor gamma.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,10 @@ class SupervisedConfig:
     gamma: float
     base: FitConfig
     nu: float = 1e-2
-    classifier_refit_tol: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise InvalidInputError("gamma must lie in [0, 1]")
-        if not self.classifier_refit_tol > 0:
-            raise InvalidInputError("classifier_refit_tol must be positive")
 
 
 def logistic_loss(classifier, code, label):
@@ -75,7 +72,7 @@ def supervised_code_gradient(classifier, code, label):
     return -label * s * classifier.weights
 
 
-def supervised_dict_gradient(D, code, x, code_gradient, l2_weight, gram=None):
+def supervised_dict_gradient(D, code, x, code_gradient, l2_weight):
     """Gradient of the per-instance supervised loss with respect to the
     dictionary, via the active-set linear system
 
@@ -85,8 +82,7 @@ def supervised_dict_gradient(D, code, x, code_gradient, l2_weight, gram=None):
     `l2_weight` is the ridge weight of the coding objective
     ||x - D beta||^2 + (l2/2)||beta||^2 + l1 term; the stationarity system of
     that objective is (2 D'D + l2 I), which after rescaling gives the halved
-    ridge above. `gram` optionally overrides D'D (full k x k) for the
-    kernel-weighted coding variant.
+    ridge above.
     """
     D = np.asarray(D, dtype=float)
     b = np.asarray(code.code, dtype=float)
@@ -98,7 +94,7 @@ def supervised_dict_gradient(D, code, x, code_gradient, l2_weight, gram=None):
     active = np.flatnonzero(np.abs(b) > ACTIVE_SET_TOL)
     if active.size == 0:
         return np.zeros_like(D)
-    G = D.T @ D if gram is None else np.asarray(gram, dtype=float)
+    G = D.T @ D
     system = G[np.ix_(active, active)] + 0.5 * l2_weight * np.eye(active.size)
     try:
         phi_a = np.linalg.solve(system, g[active])
@@ -108,18 +104,6 @@ def supervised_dict_gradient(D, code, x, code_gradient, l2_weight, gram=None):
     phi[active] = phi_a
     resid = x - D @ b
     return -np.outer(D @ phi, b) + np.outer(resid, phi)
-
-
-def combined_basis_gradient(unsup, sup, gamma):
-    """Convex combination gamma*unsup + (1-gamma)*sup, then symmetrized with
-    a zero diagonal."""
-    U = np.asarray(unsup, dtype=float)
-    S = np.asarray(sup, dtype=float)
-    if U.shape != S.shape:
-        raise InvalidInputError("gradient stacks must have matching shapes")
-    if not (0.0 <= gamma <= 1.0):
-        raise InvalidInputError("gamma must lie in [0, 1]")
-    return project_symmetric_hollow(gamma * U + (1.0 - gamma) * S)
 
 
 class _SupervisedHook:
@@ -135,9 +119,8 @@ class _SupervisedHook:
     def refit(self, codes):
         Z = np.stack([c.code for c in codes])
         w, _ = fit_logistic(Z, self.labels[[c.time for c in codes]],
-                            ridge=self.config.nu,
-                            tol=self.config.classifier_refit_tol,
-                            intercept=False, init=self.classifier.weights)
+                            ridge=self.config.nu, intercept=False,
+                            init=self.classifier.weights)
         self.classifier = LinearClassifier(weights=w, ridge=self.config.nu)
 
     def loss(self, codes):
@@ -170,10 +153,7 @@ class _SupervisedHook:
                             solver_tol=cfg.solver_tol,
                             solver_max_sweeps=cfg.solver_max_sweeps,
                             moments=moments)
-        total = sum(logistic_loss(self.classifier, c, int(self.labels[c.time]))
-                    for c in codes)
-        w = self.classifier.weights
-        return total / len(times) + 0.5 * self.config.nu * float(w @ w)
+        return self.loss(codes)
 
 
 def fit_supervised(X, labels, config, init):

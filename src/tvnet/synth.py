@@ -1,14 +1,13 @@
 """Synthetic experiment data: sparse covariance bases, smooth simplex
 trajectories, Gaussian sampling, the two-vs-two label rule, and the
-standardization / whitening preprocessing steps.
+standardization preprocessing step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, RankDeficientError
-from .linalg import random_orthogonal, sym_eig
+from .errors import InvalidInputError
 
 MIN_EIGENVALUE = 0.01
 # pre-softmax gain applied to the unit-variance smoothed signals; 2.0 gives
@@ -30,6 +29,20 @@ class GroundTruth:
 
 def _round_half_up(x):
     return int(np.floor(x + 0.5))
+
+
+def random_orthogonal(n, seed):
+    """Seeded random orthogonal matrix, rotation-invariantly distributed.
+
+    QR of a Gaussian matrix with the R diagonal sign fixed positive, which
+    makes the result Haar-distributed and deterministic per seed.
+    """
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(G)
+    return Q * np.sign(np.diag(R))
 
 
 def random_sparse_covariance(n, seed):
@@ -142,19 +155,3 @@ def standardize(X):
     if X.shape[0] < 1:
         raise InvalidInputError("X must have at least one row")
     return X - X.mean(axis=0)
-
-
-def whiten(X, eig_tol=1e-10):
-    """ZCA whitening: returns (X @ W, W) with W = V D^{-1/2} V' from the
-    eigendecomposition of the sample covariance, so the whitened sample
-    covariance is the identity."""
-    X = np.asarray(X, dtype=float)
-    T, n = X.shape
-    cov = X.T @ X / T
-    vals, vecs = sym_eig(cov)
-    if vals[-1] <= eig_tol * max(vals[0], eig_tol):
-        raise RankDeficientError(
-            f"sample covariance is rank deficient (eigenvalue {vals[-1]:.3e})",
-            eigenvalue=float(vals[-1]))
-    W = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    return X @ W, W

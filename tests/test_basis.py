@@ -5,8 +5,8 @@ from tvnet.basis import (BasisSet, FitConfig, LineSearchConfig, StructureCode,
                          fit, infer_codes, init_bases_pca, line_search,
                          objective, objective_components,
                          project_symmetric_hollow, proximal_l1_step,
-                         pseudo_dictionary, random_hollow_bases,
-                         unsupervised_basis_gradient)
+                         random_hollow_bases, unsupervised_basis_gradient,
+                         _all_dictionaries)
 from tvnet.elastic_net import ElasticNetConfig, kkt_residuals
 from tvnet.errors import DegenerateInitializationError, InvalidInputError
 from tvnet.keller import NetworkEstimate
@@ -28,29 +28,6 @@ def random_instance(rng, n, k, T):
     X -= X.mean(axis=0)
     codes = [StructureCode(code=rng.standard_normal(k), time=t) for t in range(T)]
     return bases, X, codes
-
-
-class TestPseudoDictionary:
-    def test_direct_product(self):
-        bases = BasisSet(bases=np.array([[[0.0, 1.0], [1.0, 0.0]]]))
-        D = pseudo_dictionary(bases, [2.0, 3.0])
-        assert np.allclose(D, [[3.0], [2.0]])
-
-    def test_zero_input(self):
-        bases = random_hollow_bases(4, 3, 0)
-        assert np.all(pseudo_dictionary(bases, np.zeros(4)) == 0.0)
-
-    def test_columns_match_matvec(self):
-        rng = np.random.default_rng(0)
-        bases = random_hollow_bases(5, 3, 1)
-        x = rng.standard_normal(5)
-        D = pseudo_dictionary(bases, x)
-        for i in range(3):
-            assert np.abs(D[:, i] - bases.bases[i] @ x).max() < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            pseudo_dictionary(random_hollow_bases(4, 2, 0), np.zeros(3))
 
 
 class TestInferCodes:
@@ -75,7 +52,7 @@ class TestInferCodes:
         X = rng.standard_normal((5, 4))
         spec = KernelSpec(bandwidth=0.5, family="boxcar")
         codes = infer_codes(bases, X, spec, 0.1, 0.5, [2])
-        D = pseudo_dictionary(bases, X[2])
+        D = _all_dictionaries(bases, X[2:3])[0]
         problem = build_weighted_problem([D], [X[2]], [1.0])
         direct = solve_elastic_net(problem, ElasticNetConfig(lam=0.1, alpha=0.5))
         assert np.abs(codes[0].code - direct.coef).max() < 1e-8
@@ -126,7 +103,7 @@ class TestObjective:
             lo, hi = window_bounds(c.time, 6, KERNEL)
             w = weight_profile(c.time, np.arange(lo, hi), KERNEL)
             for pos, tp in enumerate(range(lo, hi)):
-                D = pseudo_dictionary(bases, X[tp])
+                D = _all_dictionaries(bases, X[tp:tp + 1])[0]
                 r = X[tp] - D @ c.code
                 total += w[pos] * float(r @ r)
             total += 0.5 * config.alpha * config.lambda_beta * float(c.code @ c.code)

@@ -136,8 +136,25 @@ class TestFit:
                                            "bases.json"))
         assert d["k"] == generated.k_learned and d["n"] == generated.n
 
+    def test_pca_artifact_holds_the_init_bitwise(self, generated):
+        for seed in generated.seeds:
+            cli.fit_one(generated, seed, "keller")
+            cli.fit_one(generated, seed, "pca")
+            path = os.path.join(cli.fit_dir(generated, seed, "pca"),
+                                "bases.json")
+            read = storage.basis_set_from_dict(storage.read_json(path))
+            direct = cli._init_from_keller(generated, seed)
+            assert read.bases.tobytes() == direct.bases.tobytes()
+
+    @pytest.mark.parametrize("method", ["basis", "basis-supervised"])
+    def test_basis_stages_need_the_pca_artifact(self, generated, method):
+        cli.fit_one(generated, 0, "keller")
+        with pytest.raises(FileNotFoundError, match="method=pca"):
+            cli.fit_one(generated, 0, method)
+
     def test_basis_trace_non_increasing_full_batch(self, generated):
         cli.fit_one(generated, 0, "keller")
+        cli.fit_one(generated, 0, "pca")
         cli.fit_one(generated, 0, "basis")
         trace = storage.read_csv_matrix(
             os.path.join(cli.fit_dir(generated, 0, "basis"),
@@ -152,7 +169,7 @@ class TestFit:
     def test_supervised_gamma_one_matches_basis_bytes(self, tmp_path):
         m = load(tmp_path, gamma=1.0, seeds=[0])
         cli.cmd_generate(m, echo=lambda *_: None)
-        for method in ("keller", "basis", "basis-supervised"):
+        for method in ("keller", "pca", "basis", "basis-supervised"):
             cli.fit_one(m, 0, method)
         a = open(os.path.join(cli.fit_dir(m, 0, "basis"), "bases.json"),
                  "rb").read()
@@ -166,6 +183,7 @@ class TestFit:
 
     def test_fitlog_counts_outer_iterations(self, generated):
         cli.fit_one(generated, 0, "keller")
+        cli.fit_one(generated, 0, "pca")
         cli.fit_one(generated, 0, "basis")
         log = storage.read_json(os.path.join(cli.fit_dir(generated, 0,
                                                          "basis"),
@@ -295,6 +313,22 @@ class TestMain:
         d = manifest_dict(tmp_path / "out", alpha=9.0)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
+        assert cli.main(["generate", "--manifest", str(path)]) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "ten"), ("seeds", ["a"]), ("n", None), ("T", [5]),
+        ("kernel", 5)])
+    def test_wrong_field_type_is_validation_error(self, tmp_path, capsys,
+                                                  field, value):
+        d = manifest_dict(tmp_path / "out", **{field: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["generate", "--manifest", str(path)]) == 1
+        assert f"invalid manifest: bad {field}:" in capsys.readouterr().err
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("5")
         assert cli.main(["generate", "--manifest", str(path)]) == 1
 
     def test_missing_manifest_is_io_error(self, tmp_path):

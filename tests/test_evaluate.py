@@ -5,9 +5,9 @@ from tvnet.basis import BasisSet, random_hollow_bases, _vec_upper
 from tvnet.errors import DegenerateNormalizationError, InvalidInputError
 from tvnet.evaluate import (accumulate_evidence, as_projection_basis,
                             best_match_score, classification_error,
-                            matrix_correlation, pca_projection_features,
-                            train_logistic_l2)
+                            matrix_correlation, pca_projection_features)
 from tvnet.keller import NetworkEstimate
+from tvnet.logistic import fit_logistic
 
 
 def hollow(M):
@@ -133,14 +133,14 @@ class TestLogisticEvaluation:
         Z = np.vstack([rng.standard_normal((40, 2)) + 3.0,
                        rng.standard_normal((40, 2)) - 3.0])
         y = np.concatenate([np.ones(40), -np.ones(40)])
-        w, b = train_logistic_l2(Z, y, ridge=1e-3)
+        w, b = fit_logistic(Z, y, ridge=1e-3, intercept=True)
         assert classification_error(w, Z, y, intercept=b) == 0.0
 
     def test_permutation_null_near_chance(self):
         rng = np.random.default_rng(6)
         Z = rng.standard_normal((400, 3))
         y = np.where(rng.random(400) < 0.5, 1.0, -1.0)
-        w, b = train_logistic_l2(Z, y, ridge=1.0)
+        w, b = fit_logistic(Z, y, ridge=1.0, intercept=True)
         err = classification_error(w, Z, y, intercept=b)
         assert 0.3 <= err <= 0.7
 
@@ -150,7 +150,7 @@ class TestLogisticEvaluation:
         y = np.where(Z[:, 0] + 5.0 > 4.8, 1.0, -1.0)
         if len(np.unique(y)) < 2:
             pytest.skip("degenerate draw")
-        w, b = train_logistic_l2(Z, y, ridge=1e-2)
+        w, b = fit_logistic(Z, y, ridge=1e-2, intercept=True)
         err = classification_error(w, Z, y, intercept=b)
         assert err < 0.15
 

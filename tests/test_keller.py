@@ -7,7 +7,7 @@ from tvnet.keller import (EdgeSet, NetworkEstimate, estimate_structure_at,
                           regression_to_partial_corr,
                           self_regression_coefficients, symmetrize_edges)
 from tvnet.kernels import KernelSpec
-from tvnet.linalg import random_orthogonal
+from tvnet.synth import random_orthogonal
 
 SPEC = KernelSpec(bandwidth=5.0)
 

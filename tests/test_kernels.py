@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tvnet.errors import DegenerateWindowError, InvalidInputError
-from tvnet.kernels import FAMILIES, KernelSpec, weight, weight_profile
+from tvnet.kernels import FAMILIES, KernelSpec, weight_profile
+
+
+def weight(t, t_prime, spec):
+    """Unnormalized kernel weight of the single pair (t, t')."""
+    return float(weight_profile(t, [t_prime], replace(spec, normalize=False))[0])
 
 
 class TestWeight:

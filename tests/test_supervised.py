@@ -8,8 +8,8 @@ from tvnet.elastic_net import ElasticNetConfig, QuadraticProblem, solve_elastic_
 from tvnet.errors import InvalidInputError, SingularSystemError
 from tvnet.kernels import KernelSpec
 from tvnet.supervised import (LinearClassifier, SupervisedConfig,
-                              combined_basis_gradient, fit_supervised,
-                              logistic_loss, supervised_code_gradient,
+                              fit_supervised, logistic_loss,
+                              supervised_code_gradient,
                               supervised_dict_gradient, _SupervisedHook)
 
 # bandwidth * truncation < 1 makes every coding window a single time point,
@@ -148,28 +148,6 @@ class TestDictGradient:
         code = StructureCode(code=np.zeros(2), time=0)
         with pytest.raises(InvalidInputError):
             supervised_dict_gradient(np.eye(3), code, np.ones(3), np.ones(2), 0.1)
-
-
-class TestCombinedGradient:
-    def test_endpoints(self):
-        rng = np.random.default_rng(2)
-        U = rng.standard_normal((2, 4, 4))
-        S = rng.standard_normal((2, 4, 4))
-        assert np.allclose(combined_basis_gradient(U, S, 1.0),
-                           project_symmetric_hollow(U))
-        assert np.allclose(combined_basis_gradient(U, S, 0.0),
-                           project_symmetric_hollow(S))
-
-    def test_output_feasible(self):
-        rng = np.random.default_rng(3)
-        G = combined_basis_gradient(rng.standard_normal((3, 5, 5)),
-                                    rng.standard_normal((3, 5, 5)), 0.4)
-        assert np.abs(G - np.transpose(G, (0, 2, 1))).max() == 0.0
-        assert np.all(G[:, np.arange(5), np.arange(5)] == 0.0)
-
-    def test_bad_gamma(self):
-        with pytest.raises(InvalidInputError):
-            combined_basis_gradient(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 2.0)
 
 
 def make_problem(seed, T=12, n=4, k=2):

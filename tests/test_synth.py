@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tvnet.errors import InvalidInputError, RankDeficientError
+from tvnet.errors import InvalidInputError
 from tvnet.synth import (GroundTruth, generate_sequence, make_ground_truth,
-                         make_labels, random_sparse_covariance,
-                         smooth_simplex_trajectories, standardize, whiten)
+                         make_labels, random_orthogonal,
+                         random_sparse_covariance,
+                         smooth_simplex_trajectories, standardize)
 
 
 def expected_zero_pairs(n):
@@ -150,23 +151,16 @@ class TestPreprocessing:
         assert np.abs(Z.mean(axis=0)).max() < 1e-12
         assert np.allclose(Z.std(axis=0), X.std(axis=0))
 
-    def test_whiten_unit_second_moment(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((300, 5)) @ np.diag([1.0, 2.0, 0.5, 3.0, 1.5])
-        Z, W = whiten(X)
-        assert np.abs(Z.T @ Z / 300 - np.eye(5)).max() < 1e-8
-        assert np.allclose(Z, X @ W)
 
-    def test_whiten_identity_input_unchanged(self):
-        rng = np.random.default_rng(2)
-        Q, _ = np.linalg.qr(rng.standard_normal((50, 4)))
-        X = np.sqrt(50.0) * Q
-        Z, W = whiten(X)
-        assert np.abs(W - np.eye(4)).max() < 1e-8
-        assert np.abs(Z - X).max() < 1e-8
+class TestRandomOrthogonal:
+    def test_n_one(self):
+        Q = random_orthogonal(1, 5)
+        assert abs(abs(Q[0, 0]) - 1.0) < 1e-12
 
-    def test_whiten_rank_deficient_raises(self):
-        X = np.zeros((10, 3))
-        X[:, 0] = np.arange(10.0)
-        with pytest.raises(RankDeficientError):
-            whiten(X)
+    def test_orthogonality(self):
+        for seed in range(5):
+            Q = random_orthogonal(7, seed)
+            assert np.abs(Q.T @ Q - np.eye(7)).max() < 1e-10
+
+    def test_determinism(self):
+        assert np.array_equal(random_orthogonal(6, 42), random_orthogonal(6, 42))
