@@ -30,6 +30,8 @@ from .moments import local_moments
 _CHUNK = 256
 # l1 weight of the self-regression estimates behind init_mode='keller_pca'
 KELLER_INIT_LAMBDA = 0.1
+# init_times picks every (T // this)-th time: fewer than twice this many
+MAX_INIT_ESTIMATES = 200
 
 
 @dataclass
@@ -343,6 +345,11 @@ def random_hollow_bases(n, k, seed):
     return BasisSet(bases=out)
 
 
+def init_times(T):
+    """Times, out of T, whose estimates feed `init_bases_pca`."""
+    return range(0, T, max(1, T // MAX_INIT_ESTIMATES))
+
+
 def init_bases_pca(estimates, k, seed=0):
     """Principal structures of a sequence of network estimates.
 
@@ -512,9 +519,8 @@ def fit(X, config, init=None):
     if init is None:
         if config.init_mode == "keller_pca":
             from .keller import fit_sequence
-            T = X.shape[0]
-            times = np.unique(np.linspace(0, T - 1, min(T, 200)).astype(int))
-            ests = fit_sequence(X, config.kernel, KELLER_INIT_LAMBDA, times)
+            ests = fit_sequence(X, config.kernel, KELLER_INIT_LAMBDA,
+                                init_times(X.shape[0]))
             init = init_bases_pca(ests, config.k, seed=config.seed)
         elif config.init_mode == "random":
             init = random_hollow_bases(X.shape[1], config.k, config.seed)

@@ -3,20 +3,22 @@ evaluation, and the aggregated multi-seed experiment.
 
 Commands are deterministic given (manifest, seed) and every stage is cached
 by a content hash of its inputs, so re-running a finished experiment is a
-no-op and interrupted runs resume where they stopped.
+no-op and interrupted runs resume where they stopped. `STAGES` holds the
+one record of each stage; `run_stage` runs any of them.
 """
 
 import argparse
-import concurrent.futures
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import storage
-from .basis import FitConfig, fit, infer_codes, init_bases_pca
+from .basis import FitConfig, fit, infer_codes, init_bases_pca, init_times
 from .errors import InvalidInputError, TvnetError
 from .evaluate import (as_projection_basis, best_match_score,
                        classification_error, pca_projection_features)
@@ -26,18 +28,9 @@ from .logistic import fit_logistic
 from .supervised import SupervisedConfig, fit_supervised
 from .synth import generate_sequence, make_ground_truth
 
-METHODS = ("keller", "pca", "basis", "basis-supervised")
-# the artifact each fit writes, and the fit whose artifact each one reads:
-# the basis stages start from the principal structures of the pca stage
-ARTIFACTS = {"keller": "estimates.json", "pca": "bases.json",
-             "basis": "bases.json", "basis-supervised": "bases.json"}
-UPSTREAM = {"pca": "keller", "basis": "pca", "basis-supervised": "pca"}
 SCHEMA_VERSION = 1
 REPORT_HEADER = "n,method,seed,error,similarity"
 AGGREGATE_HEADER = "n,method,error_mean,error_sd,similarity_mean,similarity_sd"
-# at most this many training-time estimates feed the principal-structure
-# initialization of the adaptive fits
-MAX_INIT_ESTIMATES = 200
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -45,15 +38,30 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
+def _integer(value):
+    """An integral JSON number; 5.0 is read as 5, a bool is refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _finite(value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _seed_list(value):
-    if (not isinstance(value, (list, tuple)) or not value
-            or any(int(s) != s for s in value)):
+    if not isinstance(value, (list, tuple)) or not value:
         raise ValueError("expected a non-empty list of integers")
-    return tuple(int(s) for s in value)
+    return tuple(_integer(s) for s in value)
 
 
 # how a manifest field of each annotated type is read from its JSON value
-_READERS = {int: int, float: float, str: str, tuple: _seed_list,
+_READERS = {int: _integer, float: _finite, str: str, tuple: _seed_list,
             KernelSpec: KernelSpec.from_dict}
 
 
@@ -90,7 +98,7 @@ class ExperimentManifest:
         for f in fields(cls):
             try:
                 v[f.name] = _READERS[f.type](d[f.name])
-            except (TypeError, ValueError, KeyError) as exc:
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
                 problems.append(f"bad {f.name}: {exc}")
         if problems:
             raise InvalidInputError("invalid manifest: " + "; ".join(problems))
@@ -137,7 +145,7 @@ def load_manifest(path, out_override=None):
 
 
 # ---------------------------------------------------------------------------
-# layout and caching
+# layout
 
 def seed_tag(seed):
     return f"seed{seed:04d}"
@@ -159,75 +167,10 @@ def report_dir(m):
     return os.path.join(m.output_dir, "report")
 
 
-def _stamp_path(directory):
-    return os.path.join(directory, "stamp.json")
-
-
-def stage_fresh(directory, key, outputs):
-    """True when the stage's stamp matches `key` and its outputs exist."""
-    try:
-        stamp = storage.read_json(_stamp_path(directory))
-    except (FileNotFoundError, ValueError):
-        return False
-    if stamp.get("key") != key:
-        return False
-    return all(os.path.exists(os.path.join(directory, f)) for f in outputs)
-
-
-def write_stamp(directory, key, outputs):
-    storage.write_json(_stamp_path(directory), {"key": key, "outputs": outputs})
-
-
-# the manifest fields each stage reads; a stage's cache key covers only
-# these, its input files and its algorithm version
-STAGE_FIELDS = {
-    "generate": ("n", "T", "k_true", "smoothness"),
-    "keller": ("T", "train_len", "kernel", "lambda_keller"),
-    "pca": ("train_len", "k_learned"),
-    "basis": ("train_len", "k_learned", "kernel", "lambda_beta", "alpha",
-              "lambda_A", "batch_size", "max_outer_iters"),
-    "basis-supervised": ("train_len", "k_learned", "kernel", "lambda_beta",
-                         "alpha", "lambda_A", "batch_size", "max_outer_iters",
-                         "gamma", "nu"),
-    "eval": ("n", "train_len", "test_len", "kernel", "lambda_beta", "alpha",
-             "nu"),
-    "aggregate": ("seeds",),
-}
-# bump a stage's version whenever its numerics change, so that artifacts of
-# the older algorithm are not taken as up-to-date
-ALGO_VERSION = {"generate": 1, "keller": 2, "pca": 1, "basis": 2,
-                "basis-supervised": 2, "eval": 2, "aggregate": 1}
-
-
-def stage_key(stage, manifest, seed=None, input_files=()):
-    d = manifest.to_dict()
-    fields = {name: d[name] for name in STAGE_FIELDS[stage]}
-    return storage.hash_obj([stage, ALGO_VERSION[stage], seed, fields,
-                             [storage.hash_file(p) for p in input_files]])
-
-
 # ---------------------------------------------------------------------------
-# generate
+# what each stage computes
 
-def cmd_generate(manifest, echo=print):
-    ran = 0
-    for seed in manifest.seeds:
-        if generate_one(manifest, seed):
-            ran += 1
-            echo(f"generated {seed_tag(seed)}")
-        else:
-            echo(f"{seed_tag(seed)} data up-to-date")
-    return ran
-
-
-def generate_one(manifest, seed):
-    d = data_dir(manifest, seed)
-    os.makedirs(d, exist_ok=True)
-    key = stage_key("generate", manifest, seed)
-    outputs = ["sequence.csv", "labels.csv", "trajectories.csv",
-               "truth.json", "meta.json"]
-    if stage_fresh(d, key, outputs):
-        return False
+def _generate(manifest, seed, d):
     truth = make_ground_truth(manifest.n, manifest.T, manifest.smoothness,
                               seed, k_true=manifest.k_true)
     X = generate_sequence(truth)
@@ -245,12 +188,7 @@ def generate_one(manifest, seed):
     storage.write_json(os.path.join(d, "meta.json"),
                        {"n": manifest.n, "T": manifest.T, "seed": seed,
                         "label_file": "labels.csv"})
-    write_stamp(d, key, outputs)
-    return True
 
-
-# ---------------------------------------------------------------------------
-# fit
 
 def _load_standardized(manifest, seed):
     """Sequence with the training-segment mean removed from every row."""
@@ -271,115 +209,60 @@ def _load_keller_estimates(manifest, seed):
             for t, M in enumerate(mats)]
 
 
-def _fit_config(manifest, seed):
-    return FitConfig(k=manifest.k_learned, lambda_beta=manifest.lambda_beta,
-                     alpha=manifest.alpha, lambda_A=manifest.lambda_A,
-                     kernel=manifest.kernel, batch_size=manifest.batch_size,
-                     max_outer_iters=manifest.max_outer_iters, seed=seed)
+def _fit_keller(manifest, seed, d):
+    X = _load_standardized(manifest, seed)
+    ests = fit_sequence(X, manifest.kernel, manifest.lambda_keller,
+                        range(manifest.T))
+    mats = [e.coefficients for e in ests]
+    storage.write_json(os.path.join(d, "estimates.json"),
+                       storage.matrices_to_dict(mats))
+    return {"iterations": len(ests),
+            "converged": all(bool(np.all(e.row_converged)) for e in ests)}
 
 
 def _init_from_keller(manifest, seed):
     """The pca stage: principal structures of the training-time keller
     estimates, which the basis stages start from."""
     estimates = _load_keller_estimates(manifest, seed)[:manifest.train_len]
-    step = max(1, len(estimates) // MAX_INIT_ESTIMATES)
-    return init_bases_pca(estimates[::step], manifest.k_learned, seed=seed)
+    return init_bases_pca([estimates[t] for t in init_times(len(estimates))],
+                          manifest.k_learned, seed=seed)
 
 
-def _artifact(manifest, seed, method):
-    """Path of the fit artifact of `method`, which must exist."""
-    path = os.path.join(fit_dir(manifest, seed, method), ARTIFACTS[method])
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing fit artifact {path}; "
-                                f"fit method={method} first")
-    return path
+def _fit_pca(manifest, seed, d):
+    _load_standardized(manifest, seed)  # unused, as it always was
+    bases = _init_from_keller(manifest, seed)
+    storage.write_json(os.path.join(d, "bases.json"),
+                       storage.basis_set_to_dict(bases))
+    return {"iterations": 1, "converged": True}
 
 
-def cmd_fit(manifest, seed, method, echo=print):
-    if method not in METHODS:
-        raise InvalidInputError(f"unknown method {method!r}; "
-                                f"choose one of {', '.join(METHODS)}")
-    if seed not in manifest.seeds:
-        raise InvalidInputError(f"seed {seed} is not listed in the manifest")
-    ran = fit_one(manifest, seed, method)
-    echo(f"fit {method} {seed_tag(seed)}"
-         + ("" if ran else " up-to-date"))
-    return ran
-
-
-def fit_one(manifest, seed, method):
-    d = fit_dir(manifest, seed, method)
-    os.makedirs(d, exist_ok=True)
-    seq = os.path.join(data_dir(manifest, seed), "sequence.csv")
-    if not os.path.exists(seq):
-        raise FileNotFoundError(f"missing data file {seq}; run generate first")
-    inputs = [seq]
-    if method in UPSTREAM:
-        upstream = _artifact(manifest, seed, UPSTREAM[method])
-        inputs.append(upstream)
-    if method == "basis-supervised":
-        inputs.append(os.path.join(data_dir(manifest, seed), "labels.csv"))
-
-    outputs = {"keller": ["estimates.json", "fitlog.json"],
-               "pca": ["bases.json", "fitlog.json"],
-               "basis": ["bases.json", "codes.csv", "trace.csv",
-                         "fitlog.json"],
-               "basis-supervised": ["bases.json", "codes.csv", "trace.csv",
-                                    "classifier.json", "fitlog.json"]}[method]
-    key = stage_key(method, manifest, seed, inputs)
-    if stage_fresh(d, key, outputs):
-        return False
-
-    started = time.perf_counter()
+def _fit_bases(manifest, seed, d, supervised):
+    """The basis fit, or with `supervised` its task-specific variant, from
+    the pca stage's principal structures."""
     X = _load_standardized(manifest, seed)
-    if method == "keller":
-        ests = fit_sequence(X, manifest.kernel, manifest.lambda_keller,
-                            range(manifest.T))
-        storage.write_json(os.path.join(d, "estimates.json"),
-                           storage.matrices_to_dict(
-                               [e.coefficients for e in ests]))
-        log = {"method": method, "seed": seed, "iterations": len(ests),
-               "converged": all(bool(np.all(e.row_converged)) for e in ests)}
-    elif method == "pca":
-        bases = _init_from_keller(manifest, seed)
-        storage.write_json(os.path.join(d, "bases.json"),
-                           storage.basis_set_to_dict(bases))
-        log = {"method": method, "seed": seed, "iterations": 1,
-               "converged": True}
+    init = storage.basis_set_from_dict(storage.read_json(
+        os.path.join(fit_dir(manifest, seed, "pca"), "bases.json")))
+    config = FitConfig(k=manifest.k_learned, lambda_beta=manifest.lambda_beta,
+                       alpha=manifest.alpha, lambda_A=manifest.lambda_A,
+                       kernel=manifest.kernel, batch_size=manifest.batch_size,
+                       max_outer_iters=manifest.max_outer_iters, seed=seed)
+    Xtrain = X[:manifest.train_len]
+    if supervised:
+        labels = _load_labels(manifest, seed)[:manifest.train_len]
+        sup = SupervisedConfig(gamma=manifest.gamma, base=config,
+                               nu=manifest.nu)
+        result, classifier = fit_supervised(Xtrain, labels, sup, init)
+        storage.write_json(os.path.join(d, "classifier.json"),
+                           classifier.to_dict())
     else:
-        init = storage.basis_set_from_dict(storage.read_json(upstream))
-        config = _fit_config(manifest, seed)
-        Xtrain = X[:manifest.train_len]
-        if method == "basis":
-            result = fit(Xtrain, config, init=init)
-        else:
-            labels = _load_labels(manifest, seed)[:manifest.train_len]
-            sup = SupervisedConfig(gamma=manifest.gamma, base=config,
-                                   nu=manifest.nu)
-            result, classifier = fit_supervised(Xtrain, labels, sup, init)
-            storage.write_json(os.path.join(d, "classifier.json"),
-                               classifier.to_dict())
-        storage.write_json(os.path.join(d, "bases.json"),
-                           storage.basis_set_to_dict(result.bases))
-        storage.write_codes_csv(os.path.join(d, "codes.csv"), result.codes)
-        storage.write_csv_matrix(os.path.join(d, "trace.csv"),
-                                 np.asarray(result.objective_trace)[:, None])
-        log = {"method": method, "seed": seed,
-               "iterations": result.iterations,
-               "tol_checks": result.tol_checks,
-               "converged": bool(result.converged)}
-    log["wall_time_s"] = time.perf_counter() - started
-    storage.write_json(os.path.join(d, "fitlog.json"), log)
-    write_stamp(d, key, outputs)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# eval
-
-def _offdiag_features(estimates, n):
-    mask = ~np.eye(n, dtype=bool)
-    return np.stack([e.coefficients[mask] for e in estimates])
+        result = fit(Xtrain, config, init=init)
+    storage.write_json(os.path.join(d, "bases.json"),
+                       storage.basis_set_to_dict(result.bases))
+    storage.write_codes_csv(os.path.join(d, "codes.csv"), result.codes)
+    storage.write_csv_matrix(os.path.join(d, "trace.csv"),
+                             np.asarray(result.objective_trace)[:, None])
+    return {"iterations": result.iterations, "tol_checks": result.tol_checks,
+            "converged": bool(result.converged)}
 
 
 def _method_features(manifest, seed, method, X):
@@ -388,7 +271,8 @@ def _method_features(manifest, seed, method, X):
     if method in ("keller", "pca"):
         estimates = _load_keller_estimates(manifest, seed)
         if method == "keller":
-            F = _offdiag_features(estimates, manifest.n)
+            mask = ~np.eye(manifest.n, dtype=bool)
+            F = np.stack([e.coefficients[mask] for e in estimates])
         else:
             d = fit_dir(manifest, seed, "pca")
             principal = as_projection_basis(storage.basis_set_from_dict(
@@ -419,33 +303,7 @@ def _method_similarity(manifest, seed, method):
     return best_match_score(bases, precisions).mean_score
 
 
-def cmd_eval(manifest, seed, oracle=False, echo=print):
-    if seed not in manifest.seeds:
-        raise InvalidInputError(f"seed {seed} is not listed in the manifest")
-    ran = eval_one(manifest, seed, oracle=oracle)
-    echo(f"eval {seed_tag(seed)}" + ("" if ran else " up-to-date"))
-    return ran
-
-
-def eval_one(manifest, seed, oracle=False):
-    d = eval_dir(manifest, seed)
-    os.makedirs(d, exist_ok=True)
-    inputs = [os.path.join(data_dir(manifest, seed), "sequence.csv"),
-              os.path.join(data_dir(manifest, seed), "labels.csv"),
-              os.path.join(data_dir(manifest, seed), "truth.json")]
-    inputs += [_artifact(manifest, seed, method) for method in METHODS]
-    for method in ("basis", "basis-supervised"):
-        inputs.append(os.path.join(fit_dir(manifest, seed, method),
-                                   "codes.csv"))
-    if oracle:
-        inputs.append(os.path.join(data_dir(manifest, seed),
-                                   "trajectories.csv"))
-    # the oracle's extra input gives it a key of its own
-    key = stage_key("eval", manifest, seed, inputs)
-    outputs = ["report.json", "rows.csv"]
-    if stage_fresh(d, key, outputs):
-        return False
-
+def _evaluate(manifest, seed, d, oracle=False):
     X = _load_standardized(manifest, seed)
     labels = _load_labels(manifest, seed)
     tr, te = manifest.train_len, manifest.test_len
@@ -480,78 +338,13 @@ def eval_one(manifest, seed, oracle=False):
                                storage.fmt_float(r["similarity"])]))
     storage.atomic_write_text(os.path.join(d, "rows.csv"),
                               "\n".join(lines) + "\n")
-    write_stamp(d, key, outputs)
-    return True
 
 
-# ---------------------------------------------------------------------------
-# experiment
-
-def _seed_pipeline(manifest_dict, seed):
-    """All stages for one seed; module-level so worker processes can run it.
-    Returns the number of stages that actually executed."""
-    manifest = ExperimentManifest.from_dict(manifest_dict)
-    ran = int(generate_one(manifest, seed))
-    for method in METHODS:
-        ran += int(fit_one(manifest, seed, method))
-    ran += int(eval_one(manifest, seed))
-    return ran
-
-
-def cmd_experiment(manifest, jobs=1, echo=print):
-    failures = []
-    ran = 0
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_seed_pipeline, manifest.to_dict(), s): s
-                       for s in manifest.seeds}
-            for fut in concurrent.futures.as_completed(futures):
-                seed = futures[fut]
-                try:
-                    ran += fut.result()
-                except Exception as exc:
-                    failures.append((seed, exc))
-    else:
-        for seed in manifest.seeds:
-            try:
-                ran += _seed_pipeline(manifest.to_dict(), seed)
-            except Exception as exc:
-                failures.append((seed, exc))
-
-    if failures:
-        rd = report_dir(manifest)
-        os.makedirs(rd, exist_ok=True)
-        storage.write_json(os.path.join(rd, "failures.json"),
-                           [{"seed": s, "error": repr(e)} for s, e in failures])
-        for seed, exc in failures:
-            echo(f"{seed_tag(seed)} failed: {exc}")
-        raise failures[0][1]
-
-    ran += int(aggregate(manifest))
-    if ran == 0:
-        echo("up-to-date")
-    else:
-        echo(f"experiment complete ({ran} stages ran)")
-    return ran
-
-
-def aggregate(manifest):
-    rd = report_dir(manifest)
-    os.makedirs(rd, exist_ok=True)
-    inputs = [os.path.join(eval_dir(manifest, s), "rows.csv")
-              for s in manifest.seeds]
-    key = stage_key("aggregate", manifest, None, inputs)
-    outputs = ["aggregate.csv", "report.json"]
-    if stage_fresh(rd, key, outputs):
-        return False
-
+def _aggregate(manifest, seed, d):
     rows = []
-    for path in inputs:
-        with open(path) as fh:
-            for line in fh.read().splitlines()[1:]:
-                n, method, seed, error, similarity = line.split(",")
-                rows.append((int(n), method, int(seed), float(error),
-                             float(similarity)))
+    for s in manifest.seeds:
+        with open(os.path.join(eval_dir(manifest, s), "rows.csv")) as fh:
+            rows += [line.split(",") for line in fh.read().splitlines()[1:]]
 
     lines = [AGGREGATE_HEADER]
     agg = []
@@ -559,9 +352,9 @@ def aggregate(manifest):
         sub = [r for r in rows if r[1] == method]
         if not sub:
             continue
-        n = sub[0][0]
-        errors = np.array([r[3] for r in sub])
-        sims = np.array([r[4] for r in sub])
+        n = int(sub[0][0])
+        errors = np.array([float(r[3]) for r in sub])
+        sims = np.array([float(r[4]) for r in sub])
         entry = {"n": n, "method": method, "seeds": len(sub),
                  "error_mean": float(errors.mean()),
                  "error_sd": float(errors.std()),
@@ -573,13 +366,211 @@ def aggregate(manifest):
                                storage.fmt_float(entry["error_sd"]),
                                storage.fmt_float(entry["similarity_mean"]),
                                storage.fmt_float(entry["similarity_sd"])]))
-    storage.atomic_write_text(os.path.join(rd, "aggregate.csv"),
+    storage.atomic_write_text(os.path.join(d, "aggregate.csv"),
                               "\n".join(lines) + "\n")
-    storage.write_json(os.path.join(rd, "report.json"),
+    storage.write_json(os.path.join(d, "report.json"),
                        {"schema_version": SCHEMA_VERSION,
                         "seeds": list(manifest.seeds), "methods": agg})
-    write_stamp(rd, key, outputs)
+
+
+# ---------------------------------------------------------------------------
+# the stage table and its runner
+
+class Stage(NamedTuple):
+    """One pipeline stage. Its cache key covers the manifest `fields` it
+    reads, its `version` (raised whenever its numerics change, so that
+    artifacts of the older algorithm rerun), the seed and its `inputs`."""
+
+    fields: tuple
+    version: int
+    inputs: tuple      # (stage, file) pairs, in key order
+    outputs: tuple
+    directory: object  # (manifest, seed, stage name) -> path
+    run: object        # (manifest, seed, directory, **options) -> fitlog
+
+
+_BASIS_FIELDS = ("train_len", "k_learned", "kernel", "lambda_beta", "alpha",
+                 "lambda_A", "batch_size", "max_outer_iters")
+_BASES_OUT = ("bases.json", "codes.csv", "trace.csv")
+
+# pipeline order; the fits read each other's artifacts as a chain, and the
+# basis stages start from the principal structures of the pca stage
+STAGES = {
+    "generate": Stage(
+        ("n", "T", "k_true", "smoothness"), 1, (),
+        ("sequence.csv", "labels.csv", "trajectories.csv", "truth.json",
+         "meta.json"),
+        lambda m, seed, _: data_dir(m, seed), _generate),
+    "keller": Stage(
+        ("T", "train_len", "kernel", "lambda_keller"), 2,
+        (("generate", "sequence.csv"),), ("estimates.json", "fitlog.json"),
+        fit_dir, _fit_keller),
+    "pca": Stage(
+        ("train_len", "k_learned"), 1,
+        (("generate", "sequence.csv"), ("keller", "estimates.json")),
+        ("bases.json", "fitlog.json"), fit_dir, _fit_pca),
+    "basis": Stage(
+        _BASIS_FIELDS, 2,
+        (("generate", "sequence.csv"), ("pca", "bases.json")),
+        _BASES_OUT + ("fitlog.json",), fit_dir,
+        lambda m, seed, d: _fit_bases(m, seed, d, supervised=False)),
+    "basis-supervised": Stage(
+        _BASIS_FIELDS + ("gamma", "nu"), 2,
+        (("generate", "sequence.csv"), ("pca", "bases.json"),
+         ("generate", "labels.csv")),
+        _BASES_OUT + ("classifier.json", "fitlog.json"), fit_dir,
+        lambda m, seed, d: _fit_bases(m, seed, d, supervised=True)),
+    "eval": Stage(
+        ("n", "train_len", "test_len", "kernel", "lambda_beta", "alpha",
+         "nu"), 2,
+        (("generate", "sequence.csv"), ("generate", "labels.csv"),
+         ("generate", "truth.json"), ("keller", "estimates.json"),
+         ("pca", "bases.json"), ("basis", "bases.json"),
+         ("basis-supervised", "bases.json"), ("basis", "codes.csv"),
+         ("basis-supervised", "codes.csv")),
+        ("report.json", "rows.csv"),
+        lambda m, seed, _: eval_dir(m, seed), _evaluate),
+    # once over every seed's evaluation
+    "aggregate": Stage(
+        ("seeds",), 1, (("eval", "rows.csv"),),
+        ("aggregate.csv", "report.json"),
+        lambda m, seed, _: report_dir(m), _aggregate),
+}
+# the fits: the stages that keep a fitlog
+METHODS = tuple(name for name, stage in STAGES.items()
+                if "fitlog.json" in stage.outputs)
+
+
+def run_stage(manifest, name, seed=None, extra_inputs=(), **options):
+    """Run one stage for one seed (every seed when None) unless its stamp
+    matches its key and its outputs exist; True when it ran. The
+    `extra_inputs` pairs are keyed after the stage's own, and `options` go
+    to its run function."""
+    stage = STAGES[name]
+    d = stage.directory(manifest, seed, name)
+    os.makedirs(d, exist_ok=True)
+    inputs = []
+    for s in (manifest.seeds if seed is None else (seed,)):
+        for upstream, filename in stage.inputs + tuple(extra_inputs):
+            path = os.path.join(
+                STAGES[upstream].directory(manifest, s, upstream), filename)
+            if not os.path.exists(path):
+                hint = (f"fit method={upstream}" if upstream in METHODS
+                        else f"run {upstream}")
+                raise FileNotFoundError(f"missing input {path}; {hint} first")
+            inputs.append(path)
+    values = manifest.to_dict()
+    key = storage.hash_obj([name, stage.version, seed,
+                            {f: values[f] for f in stage.fields},
+                            [storage.hash_file(p) for p in inputs]])
+    stamp_path = os.path.join(d, "stamp.json")
+    try:
+        stamp = storage.read_json(stamp_path)
+    except (FileNotFoundError, ValueError):
+        stamp = {}
+    if stamp.get("key") == key and all(
+            os.path.exists(os.path.join(d, f)) for f in stage.outputs):
+        return False
+
+    started = time.perf_counter()
+    log = stage.run(manifest, seed, d, **options)
+    if log is not None:
+        log.update(method=name, seed=seed,
+                   wall_time_s=time.perf_counter() - started)
+        storage.write_json(os.path.join(d, "fitlog.json"), log)
+    storage.write_json(stamp_path, {"key": key,
+                                    "outputs": list(stage.outputs)})
     return True
+
+
+def generate_one(manifest, seed):
+    return run_stage(manifest, "generate", seed)
+
+
+def fit_one(manifest, seed, method):
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}; "
+                                f"choose one of {', '.join(METHODS)}")
+    return run_stage(manifest, method, seed)
+
+
+def eval_one(manifest, seed, oracle=False):
+    # the oracle's extra input gives it a key of its own
+    extra = (("generate", "trajectories.csv"),) if oracle else ()
+    return run_stage(manifest, "eval", seed, extra, oracle=oracle)
+
+
+def aggregate(manifest):
+    return run_stage(manifest, "aggregate")
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+def cmd_generate(manifest, echo=print):
+    ran = 0
+    for seed in manifest.seeds:
+        if generate_one(manifest, seed):
+            ran += 1
+            echo(f"generated {seed_tag(seed)}")
+        else:
+            echo(f"{seed_tag(seed)} data up-to-date")
+    return ran
+
+
+def cmd_fit(manifest, seed, method, echo=print):
+    if seed not in manifest.seeds:
+        raise InvalidInputError(f"seed {seed} is not listed in the manifest")
+    ran = fit_one(manifest, seed, method)
+    echo(f"fit {method} {seed_tag(seed)}"
+         + ("" if ran else " up-to-date"))
+    return ran
+
+
+def cmd_eval(manifest, seed, oracle=False, echo=print):
+    if seed not in manifest.seeds:
+        raise InvalidInputError(f"seed {seed} is not listed in the manifest")
+    ran = eval_one(manifest, seed, oracle=oracle)
+    echo(f"eval {seed_tag(seed)}" + ("" if ran else " up-to-date"))
+    return ran
+
+
+def cmd_experiment(manifest, echo=print):
+    """Every stage for every seed, then the aggregate. A stage that runs
+    prints its wall time; one that is up to date prints nothing."""
+    def run(name, seed=None):
+        started = time.perf_counter()
+        if not run_stage(manifest, name, seed):
+            return 0
+        where = "" if seed is None else f" {seed_tag(seed)}"
+        echo(f"{name}{where} ran in {time.perf_counter() - started:.2f} s")
+        return 1
+
+    ran = 0
+    failures = []
+    for seed in manifest.seeds:
+        try:
+            for name in STAGES:
+                if name != "aggregate":
+                    ran += run(name, seed)
+        except Exception as exc:
+            failures.append((seed, exc))
+
+    if failures:
+        rd = report_dir(manifest)
+        os.makedirs(rd, exist_ok=True)
+        storage.write_json(os.path.join(rd, "failures.json"),
+                           [{"seed": s, "error": repr(e)} for s, e in failures])
+        for seed, exc in failures:
+            echo(f"{seed_tag(seed)} failed: {exc}")
+        raise failures[0][1]
+
+    ran += run("aggregate")
+    if ran == 0:
+        echo("up-to-date")
+    else:
+        echo(f"experiment complete ({ran} stages ran)")
+    return ran
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +587,6 @@ def build_parser():
                        help="path to the experiment manifest JSON")
         p.add_argument("--out", default=None,
                        help="override the manifest's output_dir")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for multi-seed stages")
         if seed:
             p.add_argument("--seed", type=int, required=True)
         if method:
@@ -626,7 +615,7 @@ def main(argv=None):
         elif args.command == "eval":
             cmd_eval(manifest, args.seed, oracle=args.oracle)
         else:
-            cmd_experiment(manifest, jobs=args.jobs)
+            cmd_experiment(manifest)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

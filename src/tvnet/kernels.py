@@ -31,6 +31,8 @@ class KernelSpec:
             raise InvalidInputError("bandwidth must be a positive finite scalar")
         if not (self.truncation > 0 and np.isfinite(self.truncation)):
             raise InvalidInputError("truncation must be a positive finite scalar")
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise InvalidInputError("normalize must be true or false")
 
     def to_dict(self):
         return {

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -119,6 +120,11 @@ class TestFit:
     def test_unknown_method(self, generated):
         with pytest.raises(InvalidInputError):
             cli.cmd_fit(generated, 0, "mystery", echo=lambda *_: None)
+
+    def test_unknown_method_makes_no_directory(self, generated):
+        with pytest.raises(InvalidInputError, match="basis-supervised"):
+            cli.fit_one(generated, 0, "mystery")
+        assert not os.path.exists(cli.fit_dir(generated, 0, "mystery"))
 
     def test_unlisted_seed(self, generated):
         with pytest.raises(InvalidInputError):
@@ -242,6 +248,10 @@ class TestExperiment:
         lines = before.decode().splitlines()
         assert lines[0] == cli.AGGREGATE_HEADER
         assert len(lines) == 1 + len(cli.METHODS)
+        # one line per stage that ran (six per seed, then the aggregate)
+        # and a closing line
+        assert len(messages) == 2 * 6 + 1 + 1
+        assert messages[-1] == "experiment complete (13 stages ran)"
 
         messages.clear()
         cli.cmd_experiment(m, echo=messages.append)
@@ -279,6 +289,11 @@ def seed_pass(m, seed=0):
 
 
 class TestStageCache:
+    def test_every_manifest_field_keys_some_stage(self):
+        keyed = {f for stage in cli.STAGES.values() for f in stage.fields}
+        names = {f.name for f in dataclasses.fields(cli.ExperimentManifest)}
+        assert names - keyed == {"output_dir"}
+
     def test_gamma_edit_reruns_only_what_reads_gamma(self, tmp_path):
         assert all(seed_pass(load(tmp_path, seeds=[0])).values())
         ran = seed_pass(load(tmp_path, seeds=[0], gamma=0.5))
@@ -298,8 +313,8 @@ class TestStageCache:
         seed_pass(m)
         bases = os.path.join(cli.fit_dir(m, 0, "basis"), "bases.json")
         before = open(bases, "rb").read()
-        monkeypatch.setitem(cli.ALGO_VERSION, "basis",
-                            cli.ALGO_VERSION["basis"] + 1)
+        monkeypatch.setitem(cli.STAGES, "basis", cli.STAGES["basis"]._replace(
+            version=cli.STAGES["basis"].version + 1))
         ran = seed_pass(m)
         # the rerun writes the same bytes, so nothing downstream reruns
         assert ran == {"generate": False, "keller": False, "pca": False,
@@ -317,7 +332,11 @@ class TestMain:
 
     @pytest.mark.parametrize("field, value", [
         ("n", "ten"), ("seeds", ["a"]), ("n", None), ("T", [5]),
-        ("kernel", 5)])
+        ("kernel", 5), ("n", 5.7), ("train_len", 49.9), ("batch_size", True),
+        ("seeds", [True]), ("lambda_A", float("inf")), ("nu", float("inf")),
+        ("smoothness", float("inf")),
+        ("kernel", {"family": "gaussian", "bandwidth": 6.0,
+                    "truncation": 3.0, "normalize": "no"})])
     def test_wrong_field_type_is_validation_error(self, tmp_path, capsys,
                                                   field, value):
         d = manifest_dict(tmp_path / "out", **{field: value})
