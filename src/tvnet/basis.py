@@ -20,9 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elastic_net import (ElasticNetConfig, QuadraticProblem, soft_threshold,
-                          solve_elastic_net)
+                          solve_elastic_net_stack)
 from .errors import DegenerateInitializationError, InvalidInputError
-from .kernels import KernelSpec, weight_profile  # noqa: F401 (bench/spans.py wraps it here)
+from .kernels import KernelSpec
+# bound here because bench/spans.py wraps them in this namespace
+from .elastic_net import solve_elastic_net  # noqa: F401
+from .kernels import weight_profile  # noqa: F401
 from .moments import local_moments
 
 # moment stacks are multiplied by the bases this many times at once, which
@@ -193,20 +196,18 @@ def infer_codes(bases, X, kernel, lambda_beta, alpha, times,
     times, each over its full truncated kernel window.
 
     `moments` may hold local_moments(X, kernel) for every time of X; they
-    are computed for the target times when it is None.
+    are computed for the target times when it is None. All targets are
+    solved as one stack.
     """
     X = _as_sequence(X)
     times = [int(t) for t in times]
-    G, v, c = _coding_statistics(bases, _moments_at(X, kernel, times, moments))
+    G, v, _ = _coding_statistics(bases, _moments_at(X, kernel, times, moments))
     config = ElasticNetConfig(lam=lambda_beta, alpha=alpha,
                               tol=solver_tol, max_sweeps=solver_max_sweeps)
-    out = []
-    for idx, t in enumerate(times):
-        problem = QuadraticProblem(gram=G[idx], linear=v[idx], offset=c[idx])
-        ws = None if warm_starts is None else warm_starts[idx]
-        res = solve_elastic_net(problem, config, warm_start=ws)
-        out.append(StructureCode(code=res.coef, time=t, converged=res.converged))
-    return out
+    res = solve_elastic_net_stack(G, v, config, warm_start=warm_starts)
+    return [StructureCode(code=res.coef[idx], time=t,
+                          converged=bool(res.converged[idx]))
+            for idx, t in enumerate(times)]
 
 
 class _CodeStatistics:

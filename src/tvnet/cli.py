@@ -209,6 +209,11 @@ def _load_keller_estimates(manifest, seed):
             for t, M in enumerate(mats)]
 
 
+def _load_bases(manifest, seed, method):
+    path = os.path.join(fit_dir(manifest, seed, method), "bases.json")
+    return storage.basis_set_from_dict(storage.read_json(path))
+
+
 def _fit_keller(manifest, seed, d):
     X = _load_standardized(manifest, seed)
     ests = fit_sequence(X, manifest.kernel, manifest.lambda_keller,
@@ -217,7 +222,9 @@ def _fit_keller(manifest, seed, d):
     storage.write_json(os.path.join(d, "estimates.json"),
                        storage.matrices_to_dict(mats))
     return {"iterations": len(ests),
-            "converged": all(bool(np.all(e.row_converged)) for e in ests)}
+            "rows_nonconverged": int(sum(np.sum(~e.row_converged)
+                                         for e in ests)),
+            "sweeps": int(sum(np.sum(e.row_sweeps) for e in ests))}
 
 
 def _init_from_keller(manifest, seed):
@@ -229,7 +236,6 @@ def _init_from_keller(manifest, seed):
 
 
 def _fit_pca(manifest, seed, d):
-    _load_standardized(manifest, seed)  # unused, as it always was
     bases = _init_from_keller(manifest, seed)
     storage.write_json(os.path.join(d, "bases.json"),
                        storage.basis_set_to_dict(bases))
@@ -240,8 +246,7 @@ def _fit_bases(manifest, seed, d, supervised):
     """The basis fit, or with `supervised` its task-specific variant, from
     the pca stage's principal structures."""
     X = _load_standardized(manifest, seed)
-    init = storage.basis_set_from_dict(storage.read_json(
-        os.path.join(fit_dir(manifest, seed, "pca"), "bases.json")))
+    init = _load_bases(manifest, seed, "pca")
     config = FitConfig(k=manifest.k_learned, lambda_beta=manifest.lambda_beta,
                        alpha=manifest.alpha, lambda_A=manifest.lambda_A,
                        kernel=manifest.kernel, batch_size=manifest.batch_size,
@@ -265,59 +270,53 @@ def _fit_bases(manifest, seed, d, supervised):
             "converged": bool(result.converged)}
 
 
-def _method_features(manifest, seed, method, X):
-    """(train_features, test_features) for one method."""
+def _method_features(manifest, seed, method, X, estimates, bases):
+    """(train_features, test_features) of one method, from keller's
+    `estimates` and the method's `bases` (None for keller)."""
     tr, te = manifest.train_len, manifest.test_len
-    if method in ("keller", "pca"):
-        estimates = _load_keller_estimates(manifest, seed)
-        if method == "keller":
-            mask = ~np.eye(manifest.n, dtype=bool)
-            F = np.stack([e.coefficients[mask] for e in estimates])
-        else:
-            d = fit_dir(manifest, seed, "pca")
-            principal = as_projection_basis(storage.basis_set_from_dict(
-                storage.read_json(os.path.join(d, "bases.json"))))
-            F = np.stack([pca_projection_features(e, principal)
-                          for e in estimates])
-        return F[:tr], F[tr:tr + te]
-    # adaptive codes: training codes come from the fit artifact, test codes
-    # are inferred on the held-out segment under the fitted bases
-    d = fit_dir(manifest, seed, method)
-    bases = storage.basis_set_from_dict(
-        storage.read_json(os.path.join(d, "bases.json")))
-    _, train_codes = storage.read_codes_csv(os.path.join(d, "codes.csv"))
-    test_codes = infer_codes(bases, X[tr:tr + te], manifest.kernel,
-                             manifest.lambda_beta, manifest.alpha, range(te))
-    return train_codes[:tr], np.stack([c.code for c in test_codes])
-
-
-def _method_similarity(manifest, seed, method):
     if method == "keller":
-        return float("nan")
-    d = fit_dir(manifest, seed, method)
-    bases = storage.basis_set_from_dict(
-        storage.read_json(os.path.join(d, "bases.json")))
-    truth = storage.read_json(os.path.join(data_dir(manifest, seed),
-                                           "truth.json"))
-    precisions = storage.matrices_from_dict(truth["precision_bases"])
-    return best_match_score(bases, precisions).mean_score
+        mask = ~np.eye(manifest.n, dtype=bool)
+        F = np.stack([e.coefficients[mask] for e in estimates])
+    elif method == "pca":
+        principal = as_projection_basis(bases)
+        F = np.stack([pca_projection_features(e, principal)
+                      for e in estimates])
+    else:
+        # adaptive codes: training codes come from the fit artifact, test
+        # codes are inferred on the held-out segment under the fitted bases
+        _, train_codes = storage.read_codes_csv(
+            os.path.join(fit_dir(manifest, seed, method), "codes.csv"))
+        test_codes = infer_codes(bases, X[tr:tr + te], manifest.kernel,
+                                 manifest.lambda_beta, manifest.alpha,
+                                 range(te))
+        return train_codes[:tr], np.stack([c.code for c in test_codes])
+    return F[:tr], F[tr:tr + te]
 
 
 def _evaluate(manifest, seed, d, oracle=False):
+    """Each input artifact is read once."""
     X = _load_standardized(manifest, seed)
     labels = _load_labels(manifest, seed)
     tr, te = manifest.train_len, manifest.test_len
     y_train, y_test = labels[:tr], labels[tr:tr + te]
+    estimates = _load_keller_estimates(manifest, seed)
+    truth = storage.read_json(os.path.join(data_dir(manifest, seed),
+                                           "truth.json"))
+    precisions = storage.matrices_from_dict(truth["precision_bases"])
 
     results = []
     for method in METHODS:
-        F_train, F_test = _method_features(manifest, seed, method, X)
+        bases = None if method == "keller" else _load_bases(manifest, seed,
+                                                            method)
+        F_train, F_test = _method_features(manifest, seed, method, X,
+                                           estimates, bases)
         w, b = fit_logistic(F_train, y_train, ridge=manifest.nu,
                             intercept=True)
         error = classification_error(w, F_test, y_test, intercept=b)
+        similarity = (float("nan") if bases is None
+                      else best_match_score(bases, precisions).mean_score)
         results.append({"method": method, "error": error,
-                        "similarity": _method_similarity(manifest, seed,
-                                                         method)})
+                        "similarity": similarity})
     if oracle:
         traj = storage.read_csv_matrix(
             os.path.join(data_dir(manifest, seed), "trajectories.csv"))
@@ -402,27 +401,26 @@ STAGES = {
          "meta.json"),
         lambda m, seed, _: data_dir(m, seed), _generate),
     "keller": Stage(
-        ("T", "train_len", "kernel", "lambda_keller"), 2,
+        ("T", "train_len", "kernel", "lambda_keller"), 3,
         (("generate", "sequence.csv"),), ("estimates.json", "fitlog.json"),
         fit_dir, _fit_keller),
     "pca": Stage(
-        ("train_len", "k_learned"), 1,
-        (("generate", "sequence.csv"), ("keller", "estimates.json")),
+        ("train_len", "k_learned"), 1, (("keller", "estimates.json"),),
         ("bases.json", "fitlog.json"), fit_dir, _fit_pca),
     "basis": Stage(
-        _BASIS_FIELDS, 2,
+        _BASIS_FIELDS, 3,
         (("generate", "sequence.csv"), ("pca", "bases.json")),
         _BASES_OUT + ("fitlog.json",), fit_dir,
         lambda m, seed, d: _fit_bases(m, seed, d, supervised=False)),
     "basis-supervised": Stage(
-        _BASIS_FIELDS + ("gamma", "nu"), 2,
+        _BASIS_FIELDS + ("gamma", "nu"), 3,
         (("generate", "sequence.csv"), ("pca", "bases.json"),
          ("generate", "labels.csv")),
         _BASES_OUT + ("classifier.json", "fitlog.json"), fit_dir,
         lambda m, seed, d: _fit_bases(m, seed, d, supervised=True)),
     "eval": Stage(
         ("n", "train_len", "test_len", "kernel", "lambda_beta", "alpha",
-         "nu"), 2,
+         "nu"), 3,
         (("generate", "sequence.csv"), ("generate", "labels.csv"),
          ("generate", "truth.json"), ("keller", "estimates.json"),
          ("pca", "bases.json"), ("basis", "bases.json"),

@@ -9,12 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic_net import ElasticNetConfig, QuadraticProblem, solve_elastic_net
+from .elastic_net import ElasticNetConfig, solve_elastic_net_stack
 from .errors import InvalidInputError
-from .kernels import weight_profile  # noqa: F401 (bench/spans.py wraps it here)
+# bound here because bench/spans.py wraps them in this namespace
+from .elastic_net import solve_elastic_net  # noqa: F401
+from .kernels import weight_profile  # noqa: F401
 from .moments import local_moments
 
 STANDARDIZATION_TOL = 1e-6
+# times whose n row lassos are solved as one stack; bounds the (chunk * n,
+# n - 1, n - 1) Gram stack of a solve
+_CHUNK = 100
 
 
 @dataclass
@@ -29,7 +34,10 @@ class NetworkEstimate:
     time: int
     lam: float
     nonstandardized: bool = False
-    row_converged: bool = True
+    # per row: whether its lasso converged and the sweeps it took; None
+    # for estimates read back from storage
+    row_converged: np.ndarray = None
+    row_sweeps: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -51,23 +59,6 @@ class EdgeSet:
         return len(self.edges)
 
 
-def _rows_from_gram(G, n, lam, tol, max_sweeps, warm=None):
-    """Solve the n row-wise weighted lassos sharing the full Gram G."""
-    A = np.zeros((n, n))
-    all_converged = True
-    for i in range(n):
-        keep = [j for j in range(n) if j != i]
-        Gi = G[np.ix_(keep, keep)]
-        bi = G[keep, i]
-        problem = QuadraticProblem(gram=Gi, linear=bi, offset=G[i, i])
-        config = ElasticNetConfig(lam=lam, alpha=0.0, tol=tol, max_sweeps=max_sweeps)
-        ws = None if warm is None else warm[i, keep]
-        res = solve_elastic_net(problem, config, warm_start=ws)
-        A[i, keep] = res.coef
-        all_converged = all_converged and res.converged
-    return A, all_converged
-
-
 def _check_sequence(X):
     """X as a float array, and whether its columns are far from mean zero."""
     X = np.asarray(X, dtype=float)
@@ -76,12 +67,36 @@ def _check_sequence(X):
     return X, bool(np.abs(X.mean(axis=0)).max() > STANDARDIZATION_TOL)
 
 
-def _estimate(S_t, t, lam, nonstd, tol, max_sweeps, warm):
-    """Row-wise lassos on the kernel-weighted Gram S_t of time t."""
-    A, converged = _rows_from_gram(S_t, S_t.shape[0], lam, tol, max_sweeps,
-                                   warm=warm)
-    return NetworkEstimate(coefficients=A, time=int(t), lam=float(lam),
-                           nonstandardized=nonstd, row_converged=converged)
+def _estimates(X, spec, lam, times, tol, max_sweeps):
+    """Estimates of the sequence X at the non-empty list `times`. Row i at
+    time t is the lasso with Gram S_t[-i, -i] and linear term S_t[-i, i] of
+    the local moment S_t; the rows of up to _CHUNK times form one stack."""
+    X, nonstd = _check_sequence(X)
+    if min(times) < 0 or max(times) >= X.shape[0]:
+        raise InvalidInputError("time index out of range")
+    n = X.shape[1]
+    off = ~np.eye(n, dtype=bool)
+    # others[i] lists every dimension but i, in order
+    others = np.nonzero(off)[1].reshape(n, n - 1)
+    config = ElasticNetConfig(lam=lam, alpha=0.0, tol=tol,
+                              max_sweeps=max_sweeps)
+    A = np.zeros((len(times), n, n))
+    converged = np.empty((len(times), n), dtype=bool)
+    sweeps = np.empty((len(times), n), dtype=int)
+    for lo in range(0, len(times), _CHUNK):
+        S = local_moments(X, spec, times[lo:lo + _CHUNK])
+        P = S.shape[0]
+        gram = S[:, others[:, :, None], others[:, None, :]]
+        linear = S[:, others, np.arange(n)[:, None]]
+        res = solve_elastic_net_stack(gram.reshape(P * n, n - 1, n - 1),
+                                      linear.reshape(P * n, n - 1), config)
+        A[lo:lo + P, off] = res.coef.reshape(P, n * (n - 1))
+        converged[lo:lo + P] = res.converged.reshape(P, n)
+        sweeps[lo:lo + P] = res.n_sweeps.reshape(P, n)
+    return [NetworkEstimate(coefficients=A[p], time=int(t), lam=float(lam),
+                            nonstandardized=nonstd,
+                            row_converged=converged[p], row_sweeps=sweeps[p])
+            for p, t in enumerate(times)]
 
 
 def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000):
@@ -92,33 +107,18 @@ def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000):
     construction (dimension i is excluded from its own covariates). The
     weighted Gram of the window is the local second moment S_t.
     """
-    X, nonstd = _check_sequence(X)
-    if not (0 <= t < X.shape[0]):
-        raise InvalidInputError(f"time index {t} out of range")
-    S_t = local_moments(X, spec, [t])[0]
-    return _estimate(S_t, t, lam, nonstd, tol, max_sweeps, None)
+    return _estimates(X, spec, lam, [t], tol, max_sweeps)[0]
 
 
 def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000):
     """estimate_structure_at for every requested time, in the given order.
 
-    Consecutive estimates warm-start each other, which does not change the
-    solutions (same convex problems) but speeds up smooth sequences.
+    Every row lasso starts from zero, so each estimate equals
+    estimate_structure_at at its time bit for bit, whichever other times
+    are requested.
     """
     times = list(times)
-    if not times:
-        return []
-    X, nonstd = _check_sequence(X)
-    if min(times) < 0 or max(times) >= X.shape[0]:
-        raise InvalidInputError("time index out of range")
-    S = local_moments(X, spec, times)
-    out = []
-    warm = None
-    for t, S_t in zip(times, S):
-        est = _estimate(S_t, t, lam, nonstd, tol, max_sweeps, warm)
-        out.append(est)
-        warm = est.coefficients
-    return out
+    return _estimates(X, spec, lam, times, tol, max_sweeps) if times else []
 
 
 def symmetrize_edges(estimate, threshold=0.0):

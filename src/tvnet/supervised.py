@@ -9,7 +9,7 @@ import numpy as np
 
 from . import basis as _basis
 from .basis import (FitConfig, infer_codes, project_symmetric_hollow,
-                    _as_sequence)
+                    _as_sequence, _code_matrix)
 from .errors import InvalidInputError, SingularSystemError
 from .logistic import fit_logistic
 # bound here because bench/spans.py wraps them in this namespace
@@ -126,10 +126,11 @@ class _SupervisedHook:
     def loss(self, codes):
         """Supervised objective: mean deviance plus (nu/2)||omega||^2, the
         same function the classifier refit minimizes in omega."""
-        total = sum(logistic_loss(self.classifier, c, int(self.labels[c.time]))
-                    for c in codes)
         w = self.classifier.weights
-        return total / len(codes) + 0.5 * self.config.nu * float(w @ w)
+        labels = self.labels[[c.time for c in codes]]
+        margins = labels * (_code_matrix(codes) @ w)
+        return (float(np.mean(np.logaddexp(0.0, -margins)))
+                + 0.5 * self.config.nu * float(w @ w))
 
     def basis_gradient(self, bases, codes, X, Y):
         cfg = self.config.base

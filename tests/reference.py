@@ -1,18 +1,58 @@
-"""Direct window-by-window forms of the kernel-weighted quantities.
+"""Direct forms of the package's computations, kept as oracles.
 
-These loops rescan each target's kernel window and are too slow for the
-package, which derives everything from the local second moments
-(tvnet.moments). They stay here as independent oracles: they share no code
-with the moment path except the kernel function itself.
+The window-by-window loops rescan each target's kernel window and are too
+slow for the package, which derives everything from the local second
+moments (tvnet.moments); they share no code with the moment path except the
+kernel function itself. `scalar_elastic_net` is the one-problem coordinate
+descent loop that the stacked solver of tvnet.elastic_net replaced.
 """
 
 import numpy as np
 
 from tvnet.basis import _all_dictionaries, project_symmetric_hollow
 from tvnet.elastic_net import (ElasticNetConfig, QuadraticProblem,
-                               solve_elastic_net)
-from tvnet.errors import InvalidInputError
+                               soft_threshold, solve_elastic_net)
+from tvnet.errors import DegenerateProblemError, InvalidInputError
 from tvnet.kernels import weight_profile
+
+
+def scalar_elastic_net(problem, config, warm_start=None):
+    """(coef, converged, n_sweeps) of cyclic coordinate descent on one
+    QuadraticProblem, one coordinate at a time: coordinates 0..k-1 in
+    order, stopping after the first sweep whose largest change is below
+    config.tol."""
+    k = problem.k
+    G = problem.gram
+    b = problem.linear
+    beta = (np.zeros(k) if warm_start is None
+            else np.array(warm_start, dtype=float).ravel())
+    l1 = (1.0 - config.alpha) * config.lam
+    denom = 2.0 * np.diag(G) + config.alpha * config.lam
+    Gbeta = G @ beta
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, config.max_sweeps + 1):
+        max_delta = 0.0
+        for j in range(k):
+            partial = 2.0 * (b[j] - (Gbeta[j] - G[j, j] * beta[j]))
+            num = soft_threshold(partial, l1)
+            if denom[j] <= 0.0:
+                if num == 0.0:
+                    new = 0.0
+                else:
+                    raise DegenerateProblemError(
+                        f"coordinate {j} has zero curvature")
+            else:
+                new = num / denom[j]
+            delta = new - beta[j]
+            if delta != 0.0:
+                Gbeta += G[:, j] * delta
+                beta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        if max_delta < config.tol:
+            converged = True
+            break
+    return beta, converged, sweeps
 
 
 def window_bounds(t, n_times, spec):

@@ -183,6 +183,16 @@ class TestFit:
                               "bases.json"), "rb").read()
         assert a == b
 
+    def test_keller_fitlog_counts_rows(self, generated):
+        cli.fit_one(generated, 0, "keller")
+        log = storage.read_json(os.path.join(
+            cli.fit_dir(generated, 0, "keller"), "fitlog.json"))
+        rows = generated.T * generated.n
+        assert log["iterations"] == generated.T
+        assert log["rows_nonconverged"] == 0
+        assert rows <= log["sweeps"] < 100 * rows
+        assert "converged" not in log
+
     def test_refit_skipped_when_fresh(self, generated):
         cli.fit_one(generated, 0, "keller")
         assert not cli.fit_one(generated, 0, "keller")
@@ -236,6 +246,19 @@ class TestEval:
         cli.fit_one(generated, 0, "keller")
         with pytest.raises(FileNotFoundError, match="pca"):
             cli.eval_one(generated, 0)
+
+    def test_reads_each_artifact_once(self, fitted, monkeypatch):
+        read = []
+        # read_codes_csv reads through read_csv_matrix
+        for name in ("read_json", "read_csv_matrix"):
+            def counted(path, _read=getattr(storage, name)):
+                read.append(os.path.relpath(path, fitted.output_dir))
+                return _read(path)
+            monkeypatch.setattr(storage, name, counted)
+        cli.eval_one(fitted, 0)
+        artifacts = [r for r in read if not r.endswith("stamp.json")]
+        assert sorted(artifacts) == sorted(set(artifacts))
+        assert len(artifacts) == len(cli.STAGES["eval"].inputs)
 
 
 class TestExperiment:

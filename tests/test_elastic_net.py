@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tvnet.elastic_net import (ElasticNetConfig, QuadraticProblem,
                                kkt_residuals, objective_value,
-                               solve_elastic_net)
+                               solve_elastic_net, solve_elastic_net_stack)
 from tvnet.errors import DegenerateProblemError, InvalidInputError
 
 # the window-sum oracles of tests/reference.py, checked here on known cases
-from reference import build_weighted_problem, solve_weighted_lasso
+from reference import (build_weighted_problem, scalar_elastic_net,
+                       solve_weighted_lasso)
+
+KKT_TOL = 1e-7
 
 
 def random_psd_problem(rng, k):
@@ -126,6 +130,141 @@ class TestSolveElasticNet:
         res = solve_elastic_net(p, config)
         assert not res.converged
         assert np.all(np.isfinite(res.coef))
+
+
+@st.composite
+def stacks(draw, max_p=6, max_k=6, rank_deficit=0):
+    """(gram, linear, config, warm) for a stack of P random problems of
+    size k. With rank_deficit > 0 every Gram has that many zero
+    eigenvalues, and the linear term lies in its range, as in a
+    regression, so that the objective is bounded below. warm is None (cold
+    start) or a (P, k) array."""
+    P = draw(st.integers(0, max_p))
+    k = draw(st.integers(1 + rank_deficit, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = k - rank_deficit if rank_deficit else k + 2
+    M = rng.standard_normal((P, rows, k))
+    gram = M.transpose(0, 2, 1) @ M / rows
+    if rank_deficit:
+        y = rng.standard_normal((P, rows, 1))
+        linear = (M.transpose(0, 2, 1) @ y)[:, :, 0] / rows
+    else:
+        gram += 0.5 * np.eye(k)
+        linear = rng.uniform(-0.8, 0.8, (P, k))
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    config = ElasticNetConfig(
+        lam=draw(st.floats(0.05 if rank_deficit else 0.0, 1.0)),
+        alpha=0.0 if rank_deficit else draw(st.floats(0.0, 1.0)))
+    warm = (rng.standard_normal((P, k)) if draw(st.booleans()) else None)
+    return gram, linear, config, warm
+
+
+def problems(gram, linear):
+    return [QuadraticProblem(gram=G, linear=b) for G, b in zip(gram, linear)]
+
+
+class TestSolveElasticNetStack:
+    """The stacked solver against the one-problem loop of
+    tests/reference.py."""
+
+    @given(stacks())
+    def test_matches_scalar_oracle(self, stack):
+        gram, linear, config, warm = stack
+        res = solve_elastic_net_stack(gram, linear, config, warm_start=warm)
+        P, k = linear.shape
+        assert res.coef.shape == (P, k)
+        assert res.converged.shape == res.n_sweeps.shape == (P,)
+        for p, problem in enumerate(problems(gram, linear)):
+            coef, converged, _ = scalar_elastic_net(
+                problem, config, None if warm is None else warm[p])
+            assert res.converged[p] and converged
+            assert np.abs(res.coef[p] - coef).max() <= 10 * config.tol
+            assert kkt_residuals(problem, config, res.coef[p]).max() <= KKT_TOL
+
+    @given(stacks(rank_deficit=1))
+    def test_singular_lasso_is_optimal(self, stack):
+        # the minimizer need not be unique, so compare objective values
+        gram, linear, config, warm = stack
+        res = solve_elastic_net_stack(gram, linear, config, warm_start=warm)
+        for p, problem in enumerate(problems(gram, linear)):
+            coef, _, _ = scalar_elastic_net(
+                problem, config, None if warm is None else warm[p])
+            assert res.converged[p]
+            assert (objective_value(problem, config, res.coef[p])
+                    == pytest.approx(objective_value(problem, config, coef),
+                                     abs=1e-9))
+            assert kkt_residuals(problem, config, res.coef[p]).max() <= KKT_TOL
+
+    @given(stacks(), st.integers(1, 3))
+    def test_sweep_cap_flags_each_member(self, stack, cap):
+        gram, linear, config, warm = stack
+        capped = ElasticNetConfig(lam=config.lam, alpha=config.alpha,
+                                  tol=1e-13, max_sweeps=cap)
+        res = solve_elastic_net_stack(gram, linear, capped, warm_start=warm)
+        for p, problem in enumerate(problems(gram, linear)):
+            coef, converged, sweeps = scalar_elastic_net(
+                problem, capped, None if warm is None else warm[p])
+            assert res.n_sweeps[p] == sweeps <= cap
+            assert res.converged[p] == converged
+            assert np.abs(res.coef[p] - coef).max() <= 1e-12
+
+    @given(stacks(), st.data())
+    def test_members_do_not_depend_on_the_stack(self, stack, data):
+        gram, linear, config, warm = stack
+        res = solve_elastic_net_stack(gram, linear, config, warm_start=warm)
+        P = len(linear)
+        order = data.draw(st.permutations(range(P)))
+        shuffled = solve_elastic_net_stack(
+            gram[order], linear[order], config,
+            warm_start=None if warm is None else warm[order])
+        singles = problems(gram, linear)
+        for i, p in enumerate(order):
+            alone = solve_elastic_net_stack(
+                gram[p:p + 1], linear[p:p + 1], config,
+                warm_start=None if warm is None else warm[p:p + 1])
+            for other in (alone.coef[0], shuffled.coef[i]):
+                assert np.array_equal(other, res.coef[p])
+            assert alone.n_sweeps[0] == shuffled.n_sweeps[i] == res.n_sweeps[p]
+            single = solve_elastic_net(singles[p], config,
+                                       None if warm is None else warm[p])
+            assert np.array_equal(single.coef, res.coef[p])
+            assert single.n_sweeps == res.n_sweeps[p]
+
+    def test_empty_stack(self):
+        res = solve_elastic_net_stack(np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                                      ElasticNetConfig(lam=0.1))
+        assert res.coef.shape == (0, 3)
+        assert res.converged.shape == res.n_sweeps.shape == (0,)
+
+    def test_zero_curvature_member(self):
+        gram = np.array([[[0.0]], [[2.0]]])
+        config = ElasticNetConfig(lam=0.0)
+        res = solve_elastic_net_stack(gram, np.array([[0.0], [1.0]]), config)
+        assert res.coef[0, 0] == 0.0 and res.coef[1, 0] == pytest.approx(0.5)
+        with pytest.raises(DegenerateProblemError):
+            solve_elastic_net_stack(gram, np.array([[1.0], [1.0]]), config)
+
+    def test_zeroed_coordinates_are_positive_zero(self):
+        # lam above the null threshold from a warm start: every code is 0
+        res = solve_elastic_net_stack(np.array([[[1.0]], [[1.0]]]),
+                                      np.array([[-0.5], [0.5]]),
+                                      ElasticNetConfig(lam=5.0),
+                                      warm_start=[[-1.0], [1.0]])
+        assert not np.any(np.signbit(res.coef))
+
+    @pytest.mark.parametrize("gram, linear, warm", [
+        ([[[1.0, 0.5], [0.4, 1.0]]], [[0.0, 0.0]], None),
+        ([[[1.0, 0.0], [0.0, -1.0]]], [[0.0, 0.0]], None),
+        ([[[np.nan]]], [[1.0]], None),
+        ([[[1.0]]], [[1.0, 2.0]], None),
+        ([[1.0]], [1.0], None),
+        ([[[1.0]]], [[1.0]], [[np.inf]]),
+        ([[[1.0]]], [[1.0]], [[1.0], [1.0]]),
+    ])
+    def test_bad_stack_rejected(self, gram, linear, warm):
+        with pytest.raises(InvalidInputError):
+            solve_elastic_net_stack(gram, linear, ElasticNetConfig(),
+                                    warm_start=warm)
 
 
 class TestBuildWeightedProblem:

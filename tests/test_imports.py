@@ -13,8 +13,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tvnet"
 # callers look them up, so a traced benchmark run raises AttributeError
 # when one of the bindings is missing
 BENCH_WRAPPED = {
-    "basis.py": {"weight_profile"},
-    "keller.py": {"weight_profile"},
+    "basis.py": {"solve_elastic_net", "weight_profile"},
+    "keller.py": {"solve_elastic_net", "weight_profile"},
     "supervised.py": {"_coding_problem", "solve_elastic_net",
                       "weight_profile"},
     "evaluate.py": {"fit_logistic"},

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tvnet.elastic_net import kkt_residuals
 from tvnet.errors import InvalidInputError
-from tvnet.keller import (EdgeSet, NetworkEstimate, estimate_structure_at,
+from tvnet.keller import (_CHUNK, EdgeSet, NetworkEstimate,
+                          estimate_structure_at,
                           fit_sequence, precision_to_partial_corr,
                           regression_to_partial_corr,
                           self_regression_coefficients, symmetrize_edges)
@@ -80,7 +82,7 @@ class TestFitSequence:
         X -= X.mean(axis=0)
         seq = fit_sequence(X, SPEC, 0.1, [7])
         single = estimate_structure_at(X, 7, SPEC, 0.1)
-        assert np.allclose(seq[0].coefficients, single.coefficients)
+        assert np.array_equal(seq[0].coefficients, single.coefficients)
 
     def test_empty_times(self):
         assert fit_sequence(np.zeros((5, 2)), SPEC, 0.1, []) == []
@@ -92,7 +94,48 @@ class TestFitSequence:
         seq = fit_sequence(X, SPEC, 0.05, range(20))
         for t in range(0, 20, 5):
             single = estimate_structure_at(X, t, SPEC, 0.05)
-            assert np.abs(seq[t].coefficients - single.coefficients).max() < 1e-6
+            assert np.array_equal(seq[t].coefficients, single.coefficients)
+
+    def test_estimates_do_not_depend_on_the_other_times(self):
+        # more times than one stacked solve takes, in no particular order
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((300, 4))
+        X -= X.mean(axis=0)
+        times = [int(t) for t in rng.permutation(300)[:2 * _CHUNK + 7]]
+        seq = fit_sequence(X, SPEC, 0.05, times)
+        for i in (0, _CHUNK - 1, _CHUNK, len(times) - 1):
+            single = estimate_structure_at(X, times[i], SPEC, 0.05)
+            assert seq[i].time == times[i]
+            assert np.array_equal(seq[i].coefficients, single.coefficients)
+            assert np.array_equal(seq[i].row_sweeps, single.row_sweeps)
+
+    def test_rows_match_scalar_oracle(self):
+        # each row against the one-problem loop, warm-started from the
+        # previous time as the sequence fit once did
+        from reference import scalar_elastic_net
+        from tvnet.elastic_net import ElasticNetConfig, QuadraticProblem
+        from tvnet.moments import local_moments
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((40, 5))
+        X -= X.mean(axis=0)
+        lam = 0.05
+        config = ElasticNetConfig(lam=lam)
+        seq = fit_sequence(X, SPEC, lam, range(40))
+        warm = np.zeros((5, 5))
+        for est, S_t in zip(seq, local_moments(X, SPEC)):
+            assert est.row_converged.dtype == bool
+            assert est.row_converged.shape == est.row_sweeps.shape == (5,)
+            assert np.all(est.row_converged)
+            for i in range(5):
+                keep = [j for j in range(5) if j != i]
+                problem = QuadraticProblem(gram=S_t[np.ix_(keep, keep)],
+                                           linear=S_t[keep, i])
+                coef, _, _ = scalar_elastic_net(problem, config,
+                                                warm[i, keep])
+                assert np.abs(est.coefficients[i, keep] - coef).max() < 1e-7
+                assert kkt_residuals(problem, config,
+                                     est.coefficients[i, keep]).max() <= 1e-7
+            warm = est.coefficients
 
 
 class TestSymmetrizeEdges:

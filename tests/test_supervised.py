@@ -214,6 +214,20 @@ class TestHookGradient:
             checked += 1
         assert checked == 10
 
+    def test_loss_matches_per_code_sum(self):
+        rng = np.random.default_rng(8)
+        sup_cfg = SupervisedConfig(gamma=0.5, base=make_config(3), nu=0.2)
+        labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        hook = _SupervisedHook(labels, sup_cfg)
+        hook.classifier = LinearClassifier(weights=rng.standard_normal(3))
+        codes = [StructureCode(code=rng.standard_normal(3), time=int(t))
+                 for t in rng.permutation(30)[:17]]
+        w = hook.classifier.weights
+        expected = (sum(logistic_loss(hook.classifier, c,
+                                      int(labels[c.time])) for c in codes)
+                    / len(codes) + 0.1 * float(w @ w))
+        assert hook.loss(codes) == pytest.approx(expected, rel=1e-14)
+
     def test_refit_reaches_stationarity(self):
         rng = np.random.default_rng(6)
         cfg = make_config(2)
@@ -289,7 +303,7 @@ class TestFitSupervised:
         def no_solve(*args, **kwargs):
             raise AssertionError("a code was solved")
 
-        monkeypatch.setattr(tvnet.basis, "solve_elastic_net", no_solve)
+        monkeypatch.setattr(tvnet.basis, "solve_elastic_net_stack", no_solve)
         X, labels, init = make_problem(12)
         sup_cfg = SupervisedConfig(gamma=0.5, base=make_config(2))
         with pytest.raises(InvalidInputError, match="both classes"):
