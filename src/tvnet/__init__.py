@@ -1,9 +1,8 @@
 """Time-varying sparse network structure estimation via learned basis
 structures and per-time sparse combination codes."""
 
-from .basis import (BasisSet, FitConfig, FitResult, LineSearchConfig,
-                    StructureCode, fit, infer_codes, init_bases_pca,
-                    objective)
+from .basis import (BasisSet, FitConfig, FitResult, StructureCode, fit,
+                    infer_codes, init_bases_pca, objective)
 from .elastic_net import ElasticNetConfig, QuadraticProblem, solve_elastic_net
 from .kernels import KernelSpec, weight_profile
 from .moments import local_moments

@@ -12,6 +12,9 @@ exactly per time by elastic-net coordinate descent on pseudo-dictionaries
 D_t (column i = A^i x_t); bases take one proximal gradient step per outer
 iteration, with gradients symmetrized and diagonal-zeroed so iterates stay in
 the feasible subspace, and a backtracking line search on the full objective.
+
+A fit starts from seeded random bases unless it is given an init; the
+pipeline's pca stage builds one from keller estimates with init_bases_pca.
 """
 
 import warnings
@@ -26,13 +29,16 @@ from .kernels import KernelSpec
 # bound here because bench/spans.py wraps them in this namespace
 from .elastic_net import solve_elastic_net  # noqa: F401
 from .kernels import weight_profile  # noqa: F401
-from .moments import local_moments
+from .moments import as_sequence, local_moments
 
 # moment stacks are multiplied by the bases this many times at once, which
 # bounds the (chunk, k, n, n) intermediate of the coding statistics
 _CHUNK = 256
-# l1 weight of the self-regression estimates behind init_mode='keller_pca'
-KELLER_INIT_LAMBDA = 0.1
+# backtracking line search: step shrink factor, Armijo constant c1 and the
+# number of trial steps before giving up
+LINE_SEARCH_SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_BACKTRACKS = 30
 # init_times picks every (T // this)-th time: fewer than twice this many
 MAX_INIT_ESTIMATES = 200
 
@@ -74,13 +80,6 @@ class StructureCode:
 
 
 @dataclass(frozen=True)
-class LineSearchConfig:
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 30
-
-
-@dataclass(frozen=True)
 class FitConfig:
     k: int
     lambda_beta: float
@@ -90,11 +89,7 @@ class FitConfig:
     batch_size: int = 2 ** 31 - 1
     max_outer_iters: int = 100
     rel_tol: float = 1e-6
-    line_search: LineSearchConfig = LineSearchConfig()
     seed: int = 0
-    init_mode: str = "random"          # 'random' or 'keller_pca', used when fit(init=None)
-    solver_tol: float = 1e-8
-    solver_max_sweeps: int = 10000
 
     def __post_init__(self):
         if self.k < 1:
@@ -136,13 +131,6 @@ def project_symmetric_hollow(M):
 def _all_dictionaries(bases, X):
     """(T, n, k) stack of pseudo-dictionaries for every row of X."""
     return np.einsum("kij,tj->tik", bases.bases, X)
-
-
-def _as_sequence(X):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.size == 0 or not np.all(np.isfinite(X)):
-        raise InvalidInputError("X must be a non-empty, finite T x n matrix")
-    return X
 
 
 def _moments_at(X, kernel, times, moments):
@@ -190,8 +178,7 @@ def _coding_statistics(bases, S):
 
 
 def infer_codes(bases, X, kernel, lambda_beta, alpha, times,
-                warm_starts=None, solver_tol=1e-8, solver_max_sweeps=10000,
-                moments=None):
+                warm_starts=None, moments=None):
     """Solve the per-time elastic-net coding problems for the given target
     times, each over its full truncated kernel window.
 
@@ -199,11 +186,10 @@ def infer_codes(bases, X, kernel, lambda_beta, alpha, times,
     are computed for the target times when it is None. All targets are
     solved as one stack.
     """
-    X = _as_sequence(X)
+    X = as_sequence(X)
     times = [int(t) for t in times]
     G, v, _ = _coding_statistics(bases, _moments_at(X, kernel, times, moments))
-    config = ElasticNetConfig(lam=lambda_beta, alpha=alpha,
-                              tol=solver_tol, max_sweeps=solver_max_sweeps)
+    config = ElasticNetConfig(lam=lambda_beta, alpha=alpha)
     res = solve_elastic_net_stack(G, v, config, warm_start=warm_starts)
     return [StructureCode(code=res.coef[idx], time=t,
                           converged=bool(res.converged[idx]))
@@ -262,7 +248,7 @@ def _statistics(codes, X, kernel, moments):
 
 def objective_components(bases, codes, X, config):
     """(data_fit, code_penalty, basis_penalty) of the joint objective."""
-    X = _as_sequence(X)
+    X = as_sequence(X)
     stats = _statistics(codes, X, config.kernel, None)
     return (stats.data_fit(bases.bases),
             _code_penalty(_code_matrix(codes), config.lambda_beta,
@@ -281,7 +267,7 @@ def unsupervised_basis_gradient(bases, codes, X, kernel, moments=None):
 
     `moments` may hold local_moments(X, kernel) for every time of X.
     """
-    X = _as_sequence(X)
+    X = as_sequence(X)
     return _statistics(codes, X, kernel, moments).gradient(bases.bases)
 
 
@@ -297,21 +283,22 @@ def proximal_l1_step(basis, gradient, step, lambda_A):
 
 
 def line_search(current_objective, candidate_evaluator, gradient_norm_sq,
-                config, initial_step):
+                initial_step):
     """Backtracking line search from `initial_step` with the Armijo
     sufficient-decrease test f(step) <= current - c1 * step * ||grad||^2,
-    under the LineSearchConfig `config`.
+    c1 = SUFFICIENT_DECREASE. Each rejected step is multiplied by
+    LINE_SEARCH_SHRINK, for at most MAX_BACKTRACKS trials.
 
     Returns (step, accepted); (0.0, False) when no trial step qualifies.
     """
     if gradient_norm_sq < 0:
         raise InvalidInputError("gradient_norm_sq must be nonnegative")
     step = initial_step
-    for _ in range(config.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         value = candidate_evaluator(step)
-        if value <= current_objective - config.sufficient_decrease * step * gradient_norm_sq:
+        if value <= current_objective - SUFFICIENT_DECREASE * step * gradient_norm_sq:
             return step, True
-        step *= config.shrink
+        step *= LINE_SEARCH_SHRINK
     return 0.0, False
 
 
@@ -393,6 +380,8 @@ def _descend(X, config, init_bases, supervised=None):
     entirely, so a gamma=1 supervised run reproduces the unsupervised run
     bit for bit.
     """
+    if init_bases.k != config.k or init_bases.n != X.shape[1]:
+        raise InvalidInputError("init basis set shape does not match config/data")
     T = X.shape[0]
     S = local_moments(X, config.kernel)
     rng = np.random.default_rng(config.seed)
@@ -403,10 +392,7 @@ def _descend(X, config, init_bases, supervised=None):
 
     def solve(bases, times, warm=None):
         return infer_codes(bases, X, config.kernel, config.lambda_beta,
-                           config.alpha, times, warm_starts=warm,
-                           solver_tol=config.solver_tol,
-                           solver_max_sweeps=config.solver_max_sweeps,
-                           moments=S)
+                           config.alpha, times, warm_starts=warm, moments=S)
 
     def fixed_codes_objective(codes):
         """The unsupervised objective as a function of the bases, with the
@@ -477,8 +463,7 @@ def _descend(X, config, init_bases, supervised=None):
             s0 = 1.0 / max(np.sqrt(gns), 1e-12)
         else:
             s0 = 2.0 * prev_step
-        step, accepted = line_search(current, evaluate, gns,
-                                     config.line_search, initial_step=s0)
+        step, accepted = line_search(current, evaluate, gns, initial_step=s0)
         if accepted:
             prev_step = step
             bases = BasisSet(bases=candidate(step))
@@ -515,18 +500,9 @@ def _descend(X, config, init_bases, supervised=None):
 def fit(X, config, init=None):
     """Block coordinate descent on the joint objective: exact elastic-net
     code refresh for the batch targets, then one proximal gradient step on
-    all bases with line search."""
-    X = _as_sequence(X)
+    all bases with line search. Starts from `init`, or from
+    random_hollow_bases(n, k, config.seed) when it is None."""
+    X = as_sequence(X)
     if init is None:
-        if config.init_mode == "keller_pca":
-            from .keller import fit_sequence
-            ests = fit_sequence(X, config.kernel, KELLER_INIT_LAMBDA,
-                                init_times(X.shape[0]))
-            init = init_bases_pca(ests, config.k, seed=config.seed)
-        elif config.init_mode == "random":
-            init = random_hollow_bases(X.shape[1], config.k, config.seed)
-        else:
-            raise InvalidInputError(f"unknown init_mode {config.init_mode!r}")
-    if init.k != config.k or init.n != X.shape[1]:
-        raise InvalidInputError("init basis set shape does not match config/data")
+        init = random_hollow_bases(X.shape[1], config.k, config.seed)
     return _descend(X, config, init, supervised=None)

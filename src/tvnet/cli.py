@@ -109,8 +109,8 @@ class ExperimentManifest:
 
         check(v["n"] >= 2, "n must be >= 2")
         check(v["T"] >= 1, "T must be >= 1")
-        check(v["train_len"] >= 1 and v["test_len"] >= 0,
-              "train_len must be >= 1 and test_len >= 0")
+        check(v["train_len"] >= 1 and v["test_len"] >= 1,
+              "train_len and test_len must be >= 1")
         check(v["train_len"] + v["test_len"] <= v["T"],
               "train_len + test_len must not exceed T")
         check(v["k_true"] >= 2, "k_true must be >= 2")

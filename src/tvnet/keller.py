@@ -14,7 +14,7 @@ from .errors import InvalidInputError
 # bound here because bench/spans.py wraps them in this namespace
 from .elastic_net import solve_elastic_net  # noqa: F401
 from .kernels import weight_profile  # noqa: F401
-from .moments import local_moments
+from .moments import as_sequence, local_moments
 
 STANDARDIZATION_TOL = 1e-6
 # times whose n row lassos are solved as one stack; bounds the (chunk * n,
@@ -59,27 +59,22 @@ class EdgeSet:
         return len(self.edges)
 
 
-def _check_sequence(X):
-    """X as a float array, and whether its columns are far from mean zero."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InvalidInputError("X must be a T x n matrix with T >= 1")
-    return X, bool(np.abs(X.mean(axis=0)).max() > STANDARDIZATION_TOL)
-
-
-def _estimates(X, spec, lam, times, tol, max_sweeps):
-    """Estimates of the sequence X at the non-empty list `times`. Row i at
-    time t is the lasso with Gram S_t[-i, -i] and linear term S_t[-i, i] of
-    the local moment S_t; the rows of up to _CHUNK times form one stack."""
-    X, nonstd = _check_sequence(X)
+def _estimates(X, spec, lam, times):
+    """Estimates of the sequence X at the list `times`. Row i at time t is
+    the lasso with Gram S_t[-i, -i] and linear term S_t[-i, i] of the local
+    moment S_t; the rows of up to _CHUNK times form one stack."""
+    X = as_sequence(X)
+    if not times:
+        return []
     if min(times) < 0 or max(times) >= X.shape[0]:
         raise InvalidInputError("time index out of range")
+    # whether the columns are far from mean zero
+    nonstd = bool(np.abs(X.mean(axis=0)).max() > STANDARDIZATION_TOL)
     n = X.shape[1]
     off = ~np.eye(n, dtype=bool)
     # others[i] lists every dimension but i, in order
     others = np.nonzero(off)[1].reshape(n, n - 1)
-    config = ElasticNetConfig(lam=lam, alpha=0.0, tol=tol,
-                              max_sweeps=max_sweeps)
+    config = ElasticNetConfig(lam=lam, alpha=0.0)
     A = np.zeros((len(times), n, n))
     converged = np.empty((len(times), n), dtype=bool)
     sweeps = np.empty((len(times), n), dtype=int)
@@ -99,7 +94,7 @@ def _estimates(X, spec, lam, times, tol, max_sweeps):
             for p, t in enumerate(times)]
 
 
-def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000):
+def estimate_structure_at(X, t, spec, lam):
     """Kernel-weighted sparse self-regression at time t.
 
     Row i of the result solves the weighted lasso predicting dimension i
@@ -107,18 +102,17 @@ def estimate_structure_at(X, t, spec, lam, tol=1e-8, max_sweeps=10000):
     construction (dimension i is excluded from its own covariates). The
     weighted Gram of the window is the local second moment S_t.
     """
-    return _estimates(X, spec, lam, [t], tol, max_sweeps)[0]
+    return _estimates(X, spec, lam, [t])[0]
 
 
-def fit_sequence(X, spec, lam, times, tol=1e-8, max_sweeps=10000):
+def fit_sequence(X, spec, lam, times):
     """estimate_structure_at for every requested time, in the given order.
 
     Every row lasso starts from zero, so each estimate equals
     estimate_structure_at at its time bit for bit, whichever other times
     are requested.
     """
-    times = list(times)
-    return _estimates(X, spec, lam, times, tol, max_sweeps) if times else []
+    return _estimates(X, spec, lam, list(times))
 
 
 def symmetrize_edges(estimate, threshold=0.0):

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 MAX_NEWTON_ITERS = 200
+GRAD_TOL = 1e-8
 
 
 def _check_labels(y):
@@ -19,11 +20,10 @@ def _check_labels(y):
     return y
 
 
-def fit_logistic(features, labels, ridge, tol=1e-8, intercept=True,
-                 init=None):
+def fit_logistic(features, labels, ridge, intercept=True, init=None):
     """Returns (weights, intercept); intercept is 0.0 when intercept=False.
 
-    Stops when the gradient norm of the objective drops below tol.
+    Stops when the gradient norm of the objective drops to GRAD_TOL.
     """
     Z = np.asarray(features, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 2:
@@ -58,7 +58,7 @@ def fit_logistic(features, labels, ridge, tol=1e-8, intercept=True,
         s = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))  # sigma(-margin)
         grad = -(Z.T @ (y * s)) / m + reg * theta
         gnorm = np.linalg.norm(grad)
-        if gnorm <= tol:
+        if gnorm <= GRAD_TOL:
             break
         d = s * (1.0 - s)
         H = (Z.T * d) @ Z / m + np.diag(reg)

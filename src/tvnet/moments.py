@@ -19,7 +19,17 @@ from dataclasses import replace
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .kernels import weight_profile
+
+
+def as_sequence(X):
+    """X as a float T x n array, checked where it enters a fit, an
+    estimate or a code solve."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0 or not np.all(np.isfinite(X)):
+        raise InvalidInputError("X must be a non-empty, finite T x n matrix")
+    return X
 
 
 def _lag_weights(spec):

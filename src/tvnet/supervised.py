@@ -9,9 +9,10 @@ import numpy as np
 
 from . import basis as _basis
 from .basis import (FitConfig, infer_codes, project_symmetric_hollow,
-                    _as_sequence, _code_matrix)
+                    _code_matrix)
 from .errors import InvalidInputError, SingularSystemError
 from .logistic import fit_logistic
+from .moments import as_sequence
 # bound here because bench/spans.py wraps them in this namespace
 from .basis import _coding_problem  # noqa: F401
 from .elastic_net import solve_elastic_net  # noqa: F401
@@ -151,8 +152,6 @@ class _SupervisedHook:
         cfg = self.config.base
         codes = infer_codes(cand_bases, X, cfg.kernel, cfg.lambda_beta,
                             cfg.alpha, times, warm_starts=warm,
-                            solver_tol=cfg.solver_tol,
-                            solver_max_sweeps=cfg.solver_max_sweeps,
                             moments=moments)
         return self.loss(codes)
 
@@ -164,7 +163,7 @@ def fit_supervised(X, labels, config, init):
 
     Returns (FitResult, LinearClassifier).
     """
-    X = _as_sequence(X)
+    X = as_sequence(X)
     labels = np.asarray(labels, dtype=float).ravel()
     if labels.shape[0] != X.shape[0]:
         raise InvalidInputError("labels must cover every training time")
@@ -173,8 +172,6 @@ def fit_supervised(X, labels, config, init):
     if np.unique(labels).size < 2:
         # the classifier refit would reject it after the first code solves
         raise InvalidInputError("both classes must be present")
-    if init.k != config.base.k or init.n != X.shape[1]:
-        raise InvalidInputError("init basis set shape does not match config/data")
     hook = _SupervisedHook(labels, config)
     result = _basis._descend(X, config.base, init, supervised=hook)
     return result, hook.classifier

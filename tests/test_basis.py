@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvnet.basis import (BasisSet, FitConfig, LineSearchConfig, StructureCode,
+from tvnet.basis import (BasisSet, FitConfig, StructureCode,
                          fit, infer_codes, init_bases_pca, line_search,
                          objective, objective_components,
                          project_symmetric_hollow, proximal_l1_step,
@@ -9,7 +9,8 @@ from tvnet.basis import (BasisSet, FitConfig, LineSearchConfig, StructureCode,
                          _all_dictionaries)
 from tvnet.elastic_net import ElasticNetConfig, kkt_residuals
 from tvnet.errors import DegenerateInitializationError, InvalidInputError
-from tvnet.keller import NetworkEstimate
+from tvnet.keller import (NetworkEstimate, estimate_structure_at,
+                          fit_sequence)
 from tvnet.kernels import KernelSpec
 
 KERNEL = KernelSpec(bandwidth=2.0)
@@ -183,21 +184,19 @@ class TestProximalStep:
 
 
 class TestLineSearch:
-    CFG = LineSearchConfig()
-
     def test_stationary_point(self):
-        step, accepted = line_search(1.0, lambda s: 1.0, 0.0, self.CFG,
+        step, accepted = line_search(1.0, lambda s: 1.0, 0.0,
                                      initial_step=0.5)
         assert accepted and step == 0.5
 
     def test_quadratic_lands_at_minimum(self):
         # f(a) = a^2, gradient 2 at a=1; step 0.5 reaches the exact minimum
         step, accepted = line_search(1.0, lambda s: (1.0 - 2.0 * s) ** 2, 4.0,
-                                     self.CFG, initial_step=0.5)
+                                     initial_step=0.5)
         assert accepted and step == 0.5
 
     def test_no_acceptable_step(self):
-        step, accepted = line_search(1.0, lambda s: np.inf, 1.0, self.CFG,
+        step, accepted = line_search(1.0, lambda s: np.inf, 1.0,
                                      initial_step=1.0)
         assert not accepted and step == 0.0
 
@@ -277,6 +276,17 @@ class TestFit:
         assert r1.objective_trace == r2.objective_trace
         assert np.array_equal(r1.bases.bases, r2.bases.bases)
 
+    def test_default_init_is_seeded_random(self):
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((15, 3))
+        config = make_config(2, batch_size=5, max_outer_iters=6, seed=4)
+        default = fit(X, config)
+        given = fit(X, config, init=random_hollow_bases(3, 2, config.seed))
+        assert default.objective_trace == given.objective_trace
+        assert np.array_equal(default.bases.bases, given.bases.bases)
+        assert all(np.array_equal(a.code, b.code)
+                   for a, b in zip(default.codes, given.codes))
+
     def test_final_codes_satisfy_kkt(self):
         from tvnet.basis import _all_dictionaries, _coding_problem
         rng = np.random.default_rng(14)
@@ -325,6 +335,10 @@ class TestFit:
             fit(X, make_config(1), init=bases)
         with pytest.raises(InvalidInputError):
             infer_codes(bases, X, KERNEL, 0.1, 0.5, [0])
+        with pytest.raises(InvalidInputError):
+            fit_sequence(X, KERNEL, 0.1, [0])
+        with pytest.raises(InvalidInputError):
+            estimate_structure_at(X, 0, KERNEL, 0.1)
 
     def test_bases_stay_feasible(self):
         rng = np.random.default_rng(16)

@@ -368,6 +368,13 @@ class TestMain:
         assert cli.main(["generate", "--manifest", str(path)]) == 1
         assert f"invalid manifest: bad {field}:" in capsys.readouterr().err
 
+    def test_empty_test_split_rejected_before_any_stage(self, tmp_path,
+                                                         capsys):
+        path = write_manifest(tmp_path, test_len=0)
+        assert cli.main(["experiment", "--manifest", path]) == 1
+        assert "train_len and test_len must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data").exists()
+
     def test_manifest_not_an_object(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("5")

@@ -22,8 +22,8 @@ BENCH_WRAPPED = {
 
 # the package's public names, re-exported by tvnet/__init__.py
 PUBLIC = {
-    "BasisSet", "FitConfig", "FitResult", "LineSearchConfig",
-    "StructureCode", "fit", "infer_codes", "init_bases_pca", "objective",
+    "BasisSet", "FitConfig", "FitResult", "StructureCode", "fit",
+    "infer_codes", "init_bases_pca", "objective",
     "ElasticNetConfig", "QuadraticProblem", "solve_elastic_net",
     "KernelSpec", "weight_profile", "local_moments",
     "EdgeSet", "NetworkEstimate", "estimate_structure_at", "fit_sequence",
