@@ -23,7 +23,7 @@ config = FitConfig(k=6, lambda_beta=0.1, alpha=0.5, lambda_A=0.01,
                    kernel=KernelSpec(bandwidth=25.0), batch_size=150,
                    max_outer_iters=15, seed=7)
 estimates = fit_sequence(X, config.kernel, 0.1, init_times(len(X)))
-init = init_bases_pca(estimates, config.k, seed=config.seed)
+init = init_bases_pca(estimates.coefficients, config.k, seed=config.seed)
 result = fit(X, config, init=init)
 
 print("objective trace (first / last):",

@@ -338,28 +338,27 @@ def init_times(T):
     return range(0, T, max(1, T // MAX_INIT_ESTIMATES))
 
 
-def init_bases_pca(estimates, k, seed=0):
-    """Principal structures of a sequence of network estimates.
+def init_bases_pca(coefficients, k, seed=0):
+    """Principal structures of an (m, n, n) stack of network estimates.
 
     Estimates are symmetrized, their strict upper triangles stacked, and the
     top-k right singular vectors (plain uncentered SVD) reshaped back into
     symmetric zero-diagonal bases with unit off-diagonal Frobenius norm. The
     sign of each basis is fixed so its largest-magnitude entry is positive.
     """
-    if len(estimates) == 0 or k < 1:
+    A = np.asarray(coefficients, dtype=float)
+    if len(A) == 0 or k < 1:
         raise InvalidInputError("need at least one estimate and k >= 1")
-    mats = [0.5 * (np.asarray(e.coefficients, dtype=float)
-                   + np.asarray(e.coefficients, dtype=float).T) for e in estimates]
-    n = mats[0].shape[0]
-    S = np.stack([_vec_upper(M) for M in mats])
+    n = A.shape[-1]
+    S = _vec_upper(0.5 * (A + np.swapaxes(A, -1, -2)))
     if np.abs(S).max(initial=0.0) == 0.0:
         raise DegenerateInitializationError("all estimates are zero")
     U, s, Vt = np.linalg.svd(S, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-12))
     out = np.empty((k, n, n))
     for i in range(min(k, rank)):
-        A = _from_upper(Vt[i], n)
-        out[i] = _fix_sign(A / np.linalg.norm(A))
+        M = _from_upper(Vt[i], n)
+        out[i] = _fix_sign(M / np.linalg.norm(M))
     if k > rank:
         warnings.warn(f"requested {k} bases but estimates have rank {rank}; "
                       "filling the remainder with seeded random structures")

@@ -20,9 +20,9 @@ import numpy as np
 from . import storage
 from .basis import FitConfig, fit, infer_codes, init_bases_pca, init_times
 from .errors import InvalidInputError, TvnetError
-from .evaluate import (as_projection_basis, best_match_score,
-                       classification_error, pca_projection_features)
-from .keller import NetworkEstimate, fit_sequence
+from .evaluate import (best_match_score, classification_error,
+                       pca_projection_features)
+from .keller import fit_sequence
 from .kernels import KernelSpec
 from .logistic import fit_logistic
 from .supervised import SupervisedConfig, fit_supervised
@@ -203,10 +203,9 @@ def _load_labels(manifest, seed):
 
 
 def _load_keller_estimates(manifest, seed):
+    """The (T, n, n) keller coefficients, one matrix per time."""
     path = os.path.join(fit_dir(manifest, seed, "keller"), "estimates.json")
-    mats = storage.matrices_from_dict(storage.read_json(path))
-    return [NetworkEstimate(coefficients=M, time=t, lam=manifest.lambda_keller)
-            for t, M in enumerate(mats)]
+    return storage.matrices_from_dict(storage.read_json(path))
 
 
 def _load_bases(manifest, seed, method):
@@ -216,23 +215,21 @@ def _load_bases(manifest, seed, method):
 
 def _fit_keller(manifest, seed, d):
     X = _load_standardized(manifest, seed)
-    ests = fit_sequence(X, manifest.kernel, manifest.lambda_keller,
-                        range(manifest.T))
-    mats = [e.coefficients for e in ests]
+    seq = fit_sequence(X, manifest.kernel, manifest.lambda_keller,
+                       range(manifest.T))
     storage.write_json(os.path.join(d, "estimates.json"),
-                       storage.matrices_to_dict(mats))
-    return {"iterations": len(ests),
-            "rows_nonconverged": int(sum(np.sum(~e.row_converged)
-                                         for e in ests)),
-            "sweeps": int(sum(np.sum(e.row_sweeps) for e in ests))}
+                       storage.matrices_to_dict(seq.coefficients))
+    return {"iterations": len(seq.times),
+            "rows_nonconverged": int(np.sum(~seq.row_converged)),
+            "sweeps": int(np.sum(seq.row_sweeps))}
 
 
 def _init_from_keller(manifest, seed):
     """The pca stage: principal structures of the training-time keller
     estimates, which the basis stages start from."""
-    estimates = _load_keller_estimates(manifest, seed)[:manifest.train_len]
-    return init_bases_pca([estimates[t] for t in init_times(len(estimates))],
-                          manifest.k_learned, seed=seed)
+    A = _load_keller_estimates(manifest, seed)[:manifest.train_len]
+    return init_bases_pca(A[init_times(len(A))], manifest.k_learned,
+                          seed=seed)
 
 
 def _fit_pca(manifest, seed, d):
@@ -270,17 +267,14 @@ def _fit_bases(manifest, seed, d, supervised):
             "converged": bool(result.converged)}
 
 
-def _method_features(manifest, seed, method, X, estimates, bases):
-    """(train_features, test_features) of one method, from keller's
-    `estimates` and the method's `bases` (None for keller)."""
+def _method_features(manifest, seed, method, X, A, bases):
+    """(train_features, test_features) of one method, from the (T, n, n)
+    keller coefficients `A` and the method's `bases` (None for keller)."""
     tr, te = manifest.train_len, manifest.test_len
     if method == "keller":
-        mask = ~np.eye(manifest.n, dtype=bool)
-        F = np.stack([e.coefficients[mask] for e in estimates])
+        F = A[:, ~np.eye(manifest.n, dtype=bool)]
     elif method == "pca":
-        principal = as_projection_basis(bases)
-        F = np.stack([pca_projection_features(e, principal)
-                      for e in estimates])
+        F = pca_projection_features(A, bases)
     else:
         # adaptive codes: training codes come from the fit artifact, test
         # codes are inferred on the held-out segment under the fitted bases
@@ -299,7 +293,7 @@ def _evaluate(manifest, seed, d, oracle=False):
     labels = _load_labels(manifest, seed)
     tr, te = manifest.train_len, manifest.test_len
     y_train, y_test = labels[:tr], labels[tr:tr + te]
-    estimates = _load_keller_estimates(manifest, seed)
+    A = _load_keller_estimates(manifest, seed)
     truth = storage.read_json(os.path.join(data_dir(manifest, seed),
                                            "truth.json"))
     precisions = storage.matrices_from_dict(truth["precision_bases"])
@@ -308,8 +302,8 @@ def _evaluate(manifest, seed, d, oracle=False):
     for method in METHODS:
         bases = None if method == "keller" else _load_bases(manifest, seed,
                                                             method)
-        F_train, F_test = _method_features(manifest, seed, method, X,
-                                           estimates, bases)
+        F_train, F_test = _method_features(manifest, seed, method, X, A,
+                                           bases)
         w, b = fit_logistic(F_train, y_train, ridge=manifest.nu,
                             intercept=True)
         error = classification_error(w, F_test, y_test, intercept=b)

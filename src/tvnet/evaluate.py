@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, _vec_upper
+from .basis import _vec_upper
 from .errors import DegenerateNormalizationError, InvalidInputError
 from .logistic import fit_logistic  # noqa: F401 (bench/spans.py wraps it here)
 
@@ -67,30 +67,25 @@ def best_match_score(learned, true_precisions):
     return SimilarityReport(per_true_basis=records, mean_score=mean_score)
 
 
-def as_projection_basis(bases):
-    """Rescale each basis to unit norm in vectorized-upper-triangle form so
-    the set is usable with pca_projection_features."""
-    out = np.empty_like(bases.bases)
-    for i in range(bases.k):
-        v = _vec_upper(bases.bases[i])
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise InvalidInputError("cannot normalize an all-zero basis")
-        out[i] = bases.bases[i] / norm
-    return BasisSet(bases=out)
-
-
-def pca_projection_features(estimate, principal):
-    """Coefficients of the symmetrized estimate against an orthonormal (in
-    vec-upper form) set of principal structures."""
-    V = _vec_upper(principal.bases)        # (k, p)
-    gram = V @ V.T
-    if np.abs(gram - np.eye(principal.k)).max() > 1e-8:
+def pca_projection_features(coefficients, bases):
+    """(m, k) coefficients of the symmetrized estimates in the (m, n, n)
+    stack `coefficients` against the bases, each rescaled to unit norm in
+    vectorized-upper-triangle form; the rescaled set must be orthonormal,
+    as principal structures are."""
+    V = _vec_upper(bases.bases)        # (k, p)
+    # one norm per basis: a norm along an axis may round differently
+    norms = np.array([np.linalg.norm(v) for v in V])
+    if np.any(norms == 0.0):
+        raise InvalidInputError("cannot normalize an all-zero basis")
+    V = V / norms[:, None]
+    if np.abs(V @ V.T - np.eye(bases.k)).max() > 1e-8:
         raise InvalidInputError("principal bases must be orthonormal in "
                                 "vectorized upper-triangle form")
-    A = np.asarray(estimate.coefficients, dtype=float)
-    u = _vec_upper(0.5 * (A + A.T))
-    return V @ u
+    A = np.asarray(coefficients, dtype=float)
+    # (m, p), C-ordered: BLAS may round a strided row differently
+    U = np.ascontiguousarray(_vec_upper(0.5 * (A + np.swapaxes(A, -1, -2))))
+    # one matrix-vector product per estimate, rounded as V @ u rounds
+    return np.matmul(V, U[:, :, None])[..., 0]
 
 
 def classification_error(weights, features, labels, intercept=0.0):

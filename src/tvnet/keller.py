@@ -16,7 +16,6 @@ from .elastic_net import solve_elastic_net  # noqa: F401
 from .kernels import weight_profile  # noqa: F401
 from .moments import as_sequence, local_moments
 
-STANDARDIZATION_TOL = 1e-6
 # times whose n row lassos are solved as one stack; bounds the (chunk * n,
 # n - 1, n - 1) Gram stack of a solve
 _CHUNK = 100
@@ -33,11 +32,21 @@ class NetworkEstimate:
     coefficients: np.ndarray
     time: int
     lam: float
-    nonstandardized: bool = False
-    # per row: whether its lasso converged and the sweeps it took; None
-    # for estimates read back from storage
+    # per row: whether its lasso converged and the sweeps it took
     row_converged: np.ndarray = None
     row_sweeps: np.ndarray = None
+
+
+@dataclass
+class EstimateSequence:
+    """Self-regression estimates at m time points: coefficients (m, n, n),
+    times (m,), and per row whether its lasso converged and the sweeps it
+    took, row_converged and row_sweeps (m, n)."""
+
+    coefficients: np.ndarray
+    times: np.ndarray
+    row_converged: np.ndarray
+    row_sweeps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,41 +68,6 @@ class EdgeSet:
         return len(self.edges)
 
 
-def _estimates(X, spec, lam, times):
-    """Estimates of the sequence X at the list `times`. Row i at time t is
-    the lasso with Gram S_t[-i, -i] and linear term S_t[-i, i] of the local
-    moment S_t; the rows of up to _CHUNK times form one stack."""
-    X = as_sequence(X)
-    if not times:
-        return []
-    if min(times) < 0 or max(times) >= X.shape[0]:
-        raise InvalidInputError("time index out of range")
-    # whether the columns are far from mean zero
-    nonstd = bool(np.abs(X.mean(axis=0)).max() > STANDARDIZATION_TOL)
-    n = X.shape[1]
-    off = ~np.eye(n, dtype=bool)
-    # others[i] lists every dimension but i, in order
-    others = np.nonzero(off)[1].reshape(n, n - 1)
-    config = ElasticNetConfig(lam=lam, alpha=0.0)
-    A = np.zeros((len(times), n, n))
-    converged = np.empty((len(times), n), dtype=bool)
-    sweeps = np.empty((len(times), n), dtype=int)
-    for lo in range(0, len(times), _CHUNK):
-        S = local_moments(X, spec, times[lo:lo + _CHUNK])
-        P = S.shape[0]
-        gram = S[:, others[:, :, None], others[:, None, :]]
-        linear = S[:, others, np.arange(n)[:, None]]
-        res = solve_elastic_net_stack(gram.reshape(P * n, n - 1, n - 1),
-                                      linear.reshape(P * n, n - 1), config)
-        A[lo:lo + P, off] = res.coef.reshape(P, n * (n - 1))
-        converged[lo:lo + P] = res.converged.reshape(P, n)
-        sweeps[lo:lo + P] = res.n_sweeps.reshape(P, n)
-    return [NetworkEstimate(coefficients=A[p], time=int(t), lam=float(lam),
-                            nonstandardized=nonstd,
-                            row_converged=converged[p], row_sweeps=sweeps[p])
-            for p, t in enumerate(times)]
-
-
 def estimate_structure_at(X, t, spec, lam):
     """Kernel-weighted sparse self-regression at time t.
 
@@ -102,17 +76,46 @@ def estimate_structure_at(X, t, spec, lam):
     construction (dimension i is excluded from its own covariates). The
     weighted Gram of the window is the local second moment S_t.
     """
-    return _estimates(X, spec, lam, [t])[0]
+    seq = fit_sequence(X, spec, lam, [t])
+    return NetworkEstimate(coefficients=seq.coefficients[0],
+                           time=int(seq.times[0]), lam=float(lam),
+                           row_converged=seq.row_converged[0],
+                           row_sweeps=seq.row_sweeps[0])
 
 
 def fit_sequence(X, spec, lam, times):
-    """estimate_structure_at for every requested time, in the given order.
+    """estimate_structure_at for every requested time, in the given order,
+    as one EstimateSequence.
 
-    Every row lasso starts from zero, so each estimate equals
+    Row i at time t is the lasso with Gram S_t[-i, -i] and linear term
+    S_t[-i, i] of the local moment S_t; the rows of up to _CHUNK times form
+    one stack. Every row lasso starts from zero, so each estimate equals
     estimate_structure_at at its time bit for bit, whichever other times
     are requested.
     """
-    return _estimates(X, spec, lam, list(times))
+    X = as_sequence(X)
+    times = np.asarray(list(times), dtype=int)
+    if times.size and (times.min() < 0 or times.max() >= X.shape[0]):
+        raise InvalidInputError("time index out of range")
+    m, n = times.size, X.shape[1]
+    off = ~np.eye(n, dtype=bool)
+    # others[i] lists every dimension but i, in order
+    others = np.nonzero(off)[1].reshape(n, n - 1)
+    config = ElasticNetConfig(lam=lam, alpha=0.0)
+    seq = EstimateSequence(coefficients=np.zeros((m, n, n)), times=times,
+                           row_converged=np.empty((m, n), dtype=bool),
+                           row_sweeps=np.empty((m, n), dtype=int))
+    for lo in range(0, m, _CHUNK):
+        S = local_moments(X, spec, times[lo:lo + _CHUNK])
+        P = S.shape[0]
+        gram = S[:, others[:, :, None], others[:, None, :]]
+        linear = S[:, others, np.arange(n)[:, None]]
+        res = solve_elastic_net_stack(gram.reshape(P * n, n - 1, n - 1),
+                                      linear.reshape(P * n, n - 1), config)
+        seq.coefficients[lo:lo + P, off] = res.coef.reshape(P, n * (n - 1))
+        seq.row_converged[lo:lo + P] = res.converged.reshape(P, n)
+        seq.row_sweeps[lo:lo + P] = res.n_sweeps.reshape(P, n)
+    return seq
 
 
 def symmetrize_edges(estimate, threshold=0.0):

@@ -72,17 +72,18 @@ def read_codes_csv(path):
 def matrices_to_dict(mats):
     """Sequence of same-size square matrices in the basis JSON layout
     {"n", "k", "bases": [row-major n*n lists]}; no symmetry requirement."""
-    mats = [np.asarray(M, dtype=float) for M in mats]
-    n = mats[0].shape[0]
-    return {"n": n, "k": len(mats), "bases": [M.ravel().tolist() for M in mats]}
+    M = np.asarray(mats, dtype=float)
+    k, n = M.shape[0], M.shape[1]
+    return {"n": n, "k": k, "bases": M.reshape(k, n * n).tolist()}
 
 
 def matrices_from_dict(d):
+    """The (k, n, n) array of a matrices_to_dict layout."""
     n, k = int(d["n"]), int(d["k"])
     mats = np.asarray(d["bases"], dtype=float)
     if mats.shape != (k, n * n):
         raise InvalidInputError("matrix JSON shape does not match its n/k fields")
-    return [mats[i].reshape(n, n) for i in range(k)]
+    return mats.reshape(k, n, n)
 
 
 def basis_set_to_dict(bases):
@@ -90,7 +91,7 @@ def basis_set_to_dict(bases):
 
 
 def basis_set_from_dict(d):
-    return BasisSet(bases=np.stack(matrices_from_dict(d)))
+    return BasisSet(bases=matrices_from_dict(d))
 
 
 def hash_bytes(data):

@@ -5,11 +5,13 @@ slow for the package, which derives everything from the local second
 moments (tvnet.moments); they share no code with the moment path except the
 kernel function itself. `scalar_elastic_net` is the one-problem coordinate
 descent loop that the stacked solver of tvnet.elastic_net replaced.
+`pca_projection_features` projects one estimate at a time, as eval once did.
 """
 
 import numpy as np
 
-from tvnet.basis import _all_dictionaries, project_symmetric_hollow
+from tvnet.basis import (_all_dictionaries, _vec_upper,
+                         project_symmetric_hollow)
 from tvnet.elastic_net import (ElasticNetConfig, QuadraticProblem,
                                soft_threshold, solve_elastic_net)
 from tvnet.errors import DegenerateProblemError, InvalidInputError
@@ -169,3 +171,13 @@ def unsupervised_basis_gradient(bases, codes, X, kernel):
     dD = -2.0 * (X[:, :, None] * u[:, None, :] - np.einsum("snk,skl->snl", Y, C))
     grads = np.einsum("sni,sm->inm", dD, X)
     return project_symmetric_hollow(grads)
+
+
+def pca_projection_features(coefficients, bases):
+    """(m, k) projections of the symmetrized estimates, one estimate at a
+    time, on the bases rescaled one by one to unit vec-upper norm."""
+    unit = np.empty_like(bases.bases)
+    for i in range(bases.k):
+        unit[i] = bases.bases[i] / np.linalg.norm(_vec_upper(bases.bases[i]))
+    V = _vec_upper(unit)
+    return np.stack([V @ _vec_upper(0.5 * (A + A.T)) for A in coefficients])

@@ -9,8 +9,7 @@ from tvnet.basis import (BasisSet, FitConfig, StructureCode,
                          _all_dictionaries)
 from tvnet.elastic_net import ElasticNetConfig, kkt_residuals
 from tvnet.errors import DegenerateInitializationError, InvalidInputError
-from tvnet.keller import (NetworkEstimate, estimate_structure_at,
-                          fit_sequence)
+from tvnet.keller import estimate_structure_at, fit_sequence
 from tvnet.kernels import KernelSpec
 
 KERNEL = KernelSpec(bandwidth=2.0)
@@ -205,8 +204,7 @@ class TestInitBasesPca:
     def test_identical_estimates_recovered(self):
         rng = np.random.default_rng(10)
         M = project_symmetric_hollow(rng.standard_normal((4, 4)))
-        ests = [NetworkEstimate(coefficients=M, time=t, lam=0.1) for t in range(5)]
-        bases = init_bases_pca(ests, 1)
+        bases = init_bases_pca(np.stack([M] * 5), 1)
         expected = M / np.linalg.norm(M)
         if expected.flat[np.abs(expected).argmax()] < 0:
             expected = -expected
@@ -215,10 +213,7 @@ class TestInitBasesPca:
     def test_two_orthogonal_structures_spanned(self):
         M1 = np.zeros((4, 4)); M1[0, 1] = M1[1, 0] = 1.0
         M2 = np.zeros((4, 4)); M2[2, 3] = M2[3, 2] = 1.0
-        ests = []
-        for t in range(10):
-            M = M1 if t % 2 == 0 else M2
-            ests.append(NetworkEstimate(coefficients=1.0 * M, time=t, lam=0.1))
+        ests = np.stack([M1 if t % 2 == 0 else M2 for t in range(10)])
         bases = init_bases_pca(ests, 2)
         # returned bases span the same 2-plane in vec-upper space
         from tvnet.basis import _vec_upper
@@ -228,15 +223,13 @@ class TestInitBasesPca:
         assert np.abs(proj - W.T).max() < 1e-8
 
     def test_zero_estimates_raise(self):
-        ests = [NetworkEstimate(coefficients=np.zeros((3, 3)), time=0, lam=0.1)]
         with pytest.raises(DegenerateInitializationError):
-            init_bases_pca(ests, 1)
+            init_bases_pca(np.zeros((1, 3, 3)), 1)
 
     def test_rank_deficit_filled_with_warning(self):
         M = np.zeros((4, 4)); M[0, 1] = M[1, 0] = 1.0
-        ests = [NetworkEstimate(coefficients=M, time=t, lam=0.1) for t in range(3)]
         with pytest.warns(UserWarning):
-            bases = init_bases_pca(ests, 3, seed=1)
+            bases = init_bases_pca(np.stack([M] * 3), 3, seed=1)
         assert bases.k == 3
         for i in range(3):
             assert np.linalg.norm(bases.bases[i]) == pytest.approx(1.0)

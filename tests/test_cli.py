@@ -242,6 +242,14 @@ class TestEval:
         oracle = [r for r in report["results"] if r["method"] == "oracle"]
         assert len(oracle) == 1 and oracle[0]["error"] == 0.0
 
+    def test_pca_features_match_per_estimate_loop(self, fitted):
+        from reference import pca_projection_features
+        for seed in fitted.seeds:
+            A = cli._load_keller_estimates(fitted, seed)
+            bases = cli._load_bases(fitted, seed, "pca")
+            assert np.array_equal(cli.pca_projection_features(A, bases),
+                                  pca_projection_features(A, bases))
+
     def test_missing_artifact_named(self, generated):
         cli.fit_one(generated, 0, "keller")
         with pytest.raises(FileNotFoundError, match="pca"):

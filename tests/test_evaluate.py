@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tvnet.basis import BasisSet, random_hollow_bases, _vec_upper
+import reference
+from tvnet.basis import (BasisSet, init_bases_pca, random_hollow_bases,
+                         _from_upper, _vec_upper)
 from tvnet.errors import DegenerateNormalizationError, InvalidInputError
-from tvnet.evaluate import (accumulate_evidence, as_projection_basis,
-                            best_match_score, classification_error,
-                            matrix_correlation, pca_projection_features)
-from tvnet.keller import NetworkEstimate
+from tvnet.evaluate import (accumulate_evidence, best_match_score,
+                            classification_error, matrix_correlation,
+                            pca_projection_features)
 from tvnet.logistic import fit_logistic
 
 
@@ -97,34 +99,47 @@ class TestProjectionFeatures:
     def test_projection_recovers_coefficients(self):
         P = self.orthonormal_pair()
         target = 1.5 * P.bases[0] - 0.25 * P.bases[1]
-        est = NetworkEstimate(coefficients=target, time=0, lam=0.0)
-        feats = pca_projection_features(est, P)
-        assert np.allclose(feats, [1.5, -0.25])
+        feats = pca_projection_features(target[None], P)
+        assert feats.shape == (1, 2)
+        assert np.allclose(feats[0], [1.5, -0.25])
 
     def test_asymmetric_estimate_symmetrized(self):
         P = self.orthonormal_pair()
         C = np.zeros((4, 4))
         C[0, 1] = 2.0   # symmetrized to 1.0 on each side
-        est = NetworkEstimate(coefficients=C, time=0, lam=0.0)
-        assert pca_projection_features(est, P)[0] == pytest.approx(1.0)
+        assert pca_projection_features(C[None], P)[0, 0] == pytest.approx(1.0)
 
     def test_non_orthonormal_rejected(self):
-        bad = BasisSet(bases=2.0 * self.orthonormal_pair().bases)
-        est = NetworkEstimate(coefficients=np.zeros((4, 4)), time=0, lam=0.0)
+        A, B = self.orthonormal_pair().bases
+        bad = BasisSet(bases=np.stack([A, A + B]))
         with pytest.raises(InvalidInputError):
-            pca_projection_features(est, bad)
+            pca_projection_features(np.zeros((1, 4, 4)), bad)
 
-    def test_as_projection_basis_normalizes(self):
+    def test_bases_rescaled_to_unit_norm(self):
         rng = np.random.default_rng(4)
-        raw = random_hollow_bases(5, 3, 5)
-        scaled = BasisSet(bases=raw.bases * rng.uniform(0.5, 4.0, (3, 1, 1)))
-        fixed = as_projection_basis(scaled)
-        for i in range(3):
-            assert np.linalg.norm(_vec_upper(fixed.bases[i])) == pytest.approx(1.0)
+        Q = np.linalg.qr(rng.standard_normal((10, 3)))[0].T   # (3, 10)
+        scaled = BasisSet(bases=np.stack([_from_upper(q, 5) for q in Q])
+                          * rng.uniform(0.5, 4.0, (3, 1, 1)))
+        C = rng.standard_normal((7, 5, 5))
+        expected = _vec_upper(0.5 * (C + np.swapaxes(C, 1, 2))) @ Q.T
+        assert np.allclose(pca_projection_features(C, scaled), expected,
+                           rtol=0.0, atol=1e-12)
 
-    def test_as_projection_basis_zero_rejected(self):
+    def test_zero_basis_rejected(self):
         with pytest.raises(InvalidInputError):
-            as_projection_basis(BasisSet(bases=np.zeros((1, 3, 3))))
+            pca_projection_features(np.zeros((1, 3, 3)),
+                                    BasisSet(bases=np.zeros((1, 3, 3))))
+
+    @given(st.integers(1, 60), st.integers(2, 9), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_estimate_loop(self, m, n, k, seed):
+        # principal structures of a random stack, projected on the stack
+        rng = np.random.default_rng(seed)
+        k = min(k, m, n * (n - 1) // 2)
+        C = rng.standard_normal((m, n, n))
+        bases = init_bases_pca(C, k)
+        assert np.array_equal(pca_projection_features(C, bases),
+                              reference.pca_projection_features(C, bases))
 
 
 class TestLogisticEvaluation:

@@ -46,14 +46,6 @@ class TestEstimateStructureAt:
         est = estimate_structure_at(X, 10, SPEC, lam=0.01)
         assert np.all(np.diag(est.coefficients) == 0.0)
 
-    def test_nonstandardized_flagged(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((50, 3)) + 5.0
-        est = estimate_structure_at(X, 25, SPEC, lam=0.1)
-        assert est.nonstandardized
-        est2 = estimate_structure_at(X - X.mean(axis=0), 25, SPEC, lam=0.1)
-        assert not est2.nonstandardized
-
     def test_time_out_of_range(self):
         X = np.zeros((10, 3))
         with pytest.raises(InvalidInputError):
@@ -82,10 +74,13 @@ class TestFitSequence:
         X -= X.mean(axis=0)
         seq = fit_sequence(X, SPEC, 0.1, [7])
         single = estimate_structure_at(X, 7, SPEC, 0.1)
-        assert np.array_equal(seq[0].coefficients, single.coefficients)
+        assert np.array_equal(seq.coefficients[0], single.coefficients)
 
     def test_empty_times(self):
-        assert fit_sequence(np.zeros((5, 2)), SPEC, 0.1, []) == []
+        seq = fit_sequence(np.zeros((5, 2)), SPEC, 0.1, [])
+        assert seq.coefficients.shape == (0, 2, 2)
+        assert seq.times.shape == (0,)
+        assert seq.row_converged.shape == seq.row_sweeps.shape == (0, 2)
 
     def test_matches_per_call(self):
         rng = np.random.default_rng(6)
@@ -94,7 +89,7 @@ class TestFitSequence:
         seq = fit_sequence(X, SPEC, 0.05, range(20))
         for t in range(0, 20, 5):
             single = estimate_structure_at(X, t, SPEC, 0.05)
-            assert np.array_equal(seq[t].coefficients, single.coefficients)
+            assert np.array_equal(seq.coefficients[t], single.coefficients)
 
     def test_estimates_do_not_depend_on_the_other_times(self):
         # more times than one stacked solve takes, in no particular order
@@ -105,9 +100,9 @@ class TestFitSequence:
         seq = fit_sequence(X, SPEC, 0.05, times)
         for i in (0, _CHUNK - 1, _CHUNK, len(times) - 1):
             single = estimate_structure_at(X, times[i], SPEC, 0.05)
-            assert seq[i].time == times[i]
-            assert np.array_equal(seq[i].coefficients, single.coefficients)
-            assert np.array_equal(seq[i].row_sweeps, single.row_sweeps)
+            assert seq.times[i] == times[i]
+            assert np.array_equal(seq.coefficients[i], single.coefficients)
+            assert np.array_equal(seq.row_sweeps[i], single.row_sweeps)
 
     def test_rows_match_scalar_oracle(self):
         # each row against the one-problem loop, warm-started from the
@@ -121,21 +116,21 @@ class TestFitSequence:
         lam = 0.05
         config = ElasticNetConfig(lam=lam)
         seq = fit_sequence(X, SPEC, lam, range(40))
+        assert seq.row_converged.dtype == bool
+        assert seq.row_converged.shape == seq.row_sweeps.shape == (40, 5)
+        assert np.all(seq.row_converged)
         warm = np.zeros((5, 5))
-        for est, S_t in zip(seq, local_moments(X, SPEC)):
-            assert est.row_converged.dtype == bool
-            assert est.row_converged.shape == est.row_sweeps.shape == (5,)
-            assert np.all(est.row_converged)
+        for A, S_t in zip(seq.coefficients, local_moments(X, SPEC)):
             for i in range(5):
                 keep = [j for j in range(5) if j != i]
                 problem = QuadraticProblem(gram=S_t[np.ix_(keep, keep)],
                                            linear=S_t[keep, i])
                 coef, _, _ = scalar_elastic_net(problem, config,
                                                 warm[i, keep])
-                assert np.abs(est.coefficients[i, keep] - coef).max() < 1e-7
+                assert np.abs(A[i, keep] - coef).max() < 1e-7
                 assert kkt_residuals(problem, config,
-                                     est.coefficients[i, keep]).max() <= 1e-7
-            warm = est.coefficients
+                                     A[i, keep]).max() <= 1e-7
+            warm = A
 
 
 class TestSymmetrizeEdges:
