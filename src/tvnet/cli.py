@@ -185,9 +185,6 @@ def _generate(manifest, seed, d):
         "cov_bases": storage.matrices_to_dict(truth.cov_bases),
         "precision_bases": storage.matrices_to_dict(truth.precision_bases),
     })
-    storage.write_json(os.path.join(d, "meta.json"),
-                       {"n": manifest.n, "T": manifest.T, "seed": seed,
-                        "label_file": "labels.csv"})
 
 
 def _load_standardized(manifest, seed):
@@ -391,8 +388,7 @@ _BASES_OUT = ("bases.json", "codes.csv", "trace.csv")
 STAGES = {
     "generate": Stage(
         ("n", "T", "k_true", "smoothness"), 1, (),
-        ("sequence.csv", "labels.csv", "trajectories.csv", "truth.json",
-         "meta.json"),
+        ("sequence.csv", "labels.csv", "trajectories.csv", "truth.json"),
         lambda m, seed, _: data_dir(m, seed), _generate),
     "keller": Stage(
         ("T", "train_len", "kernel", "lambda_keller"), 3,
