@@ -372,8 +372,9 @@ def _descend(X, config, init_bases, supervised=None):
 
     The local moments of X are computed once. Each iteration builds one set
     of code statistics over all T codes and scores the current bases, every
-    line-search trial and the accepted step with it, so the Armijo test
-    compares one function on both sides.
+    line-search trial and the accepted step with it; the supervised loss of
+    the current bases and of every trial is taken over the batch codes. So
+    the Armijo test compares one function on both sides.
 
     With supervised=None (or gamma == 1) the supervised terms are skipped
     entirely, so a gamma=1 supervised run reproduces the unsupervised run
@@ -442,7 +443,9 @@ def _descend(X, config, init_bases, supervised=None):
         gns = float(np.sum(grad * grad))
 
         f = fixed_codes_objective(codes)
-        current = full_objective(f, codes, bases.bases)
+        # the trials re-solve only the batch codes, so the supervised term
+        # is scored on the batch on both sides of the Armijo test
+        current = full_objective(f, batch_codes, bases.bases)
 
         def candidate(step):
             return np.stack([proximal_l1_step(bases.bases[i], grad[i], step,

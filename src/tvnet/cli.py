@@ -403,7 +403,7 @@ STAGES = {
         _BASES_OUT + ("fitlog.json",), fit_dir,
         lambda m, seed, d: _fit_bases(m, seed, d, supervised=False)),
     "basis-supervised": Stage(
-        _BASIS_FIELDS + ("gamma", "nu"), 3,
+        _BASIS_FIELDS + ("gamma", "nu"), 4,
         (("generate", "sequence.csv"), ("pca", "bases.json"),
          ("generate", "labels.csv")),
         _BASES_OUT + ("classifier.json", "fitlog.json"), fit_dir,

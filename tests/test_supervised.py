@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tvnet.basis import (BasisSet, FitConfig, StructureCode, fit, infer_codes,
-                         project_symmetric_hollow, random_hollow_bases,
-                         _all_dictionaries)
+                         line_search, project_symmetric_hollow,
+                         random_hollow_bases, _all_dictionaries)
 from tvnet.elastic_net import ElasticNetConfig, QuadraticProblem, solve_elastic_net
 from tvnet.errors import InvalidInputError, SingularSystemError
 from tvnet.kernels import KernelSpec
@@ -285,6 +285,25 @@ class TestFitSupervised:
             margins = labels * (Z @ clf.weights)
             losses[gamma] = float(np.logaddexp(0.0, -margins).mean())
         assert losses[0.25] <= losses[1.0] + 1e-12
+
+    def test_batch_line_search_compares_one_function(self, monkeypatch):
+        # batches of 6 of 20 times: the unchanged bases, scored through the
+        # trial path (batch codes re-solved from their warm starts), give the
+        # value the Armijo test starts from, up to the solver tolerance
+        import tvnet.basis
+        seen = []
+
+        def recording(current, evaluate, gns, initial_step):
+            seen.append((current, evaluate(1e-300)))
+            return line_search(current, evaluate, gns, initial_step)
+
+        monkeypatch.setattr(tvnet.basis, "line_search", recording)
+        X, labels, init = make_problem(14, T=20)
+        cfg = make_config(2, seed=4, batch_size=6, max_outer_iters=8)
+        fit_supervised(X, labels, SupervisedConfig(gamma=0.5, base=cfg), init)
+        assert len(seen) == 8
+        for current, unchanged in seen:
+            assert abs(unchanged - current) <= 1e-8   # the solver tolerance
 
     def test_label_validation(self):
         X, labels, init = make_problem(10)
