@@ -3,11 +3,13 @@ from the bindings listed here. Entries that are no longer unused fail too,
 so the lists stay exact."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tvnet"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tvnet"
 
 # bench/spans.py replaces these callables in the namespace where their
 # callers look them up, so a traced benchmark run raises AttributeError
@@ -59,3 +61,22 @@ def unused_imports(path):
                          ids=lambda p: p.name)
 def test_imports_are_used(path):
     assert unused_imports(path) == ALLOWED.get(path.name, set())
+
+
+def test_bench_tracer_installs_and_restores():
+    # the traced benchmark run wraps these callables by name; a renamed or
+    # deleted one makes install raise AttributeError
+    spec = importlib.util.spec_from_file_location("spans",
+                                                  ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        wrapped = list(tracer._undo)
+        assert all(getattr(owner, attr) is not fn
+                   for owner, attr, fn in wrapped)
+    finally:
+        tracer.restore()
+    assert wrapped
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in wrapped)
