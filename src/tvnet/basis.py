@@ -443,8 +443,6 @@ def _descend(X, config, init_bases, supervised=None):
         gns = float(np.sum(grad * grad))
 
         f = fixed_codes_objective(codes)
-        # the trials re-solve only the batch codes, so the supervised term
-        # is scored on the batch on both sides of the Armijo test
         current = full_objective(f, batch_codes, bases.bases)
 
         def candidate(step):

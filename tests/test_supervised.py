@@ -287,9 +287,10 @@ class TestFitSupervised:
         assert losses[0.25] <= losses[1.0] + 1e-12
 
     def test_batch_line_search_compares_one_function(self, monkeypatch):
-        # batches of 6 of 20 times: the unchanged bases, scored through the
-        # trial path (batch codes re-solved from their warm starts), give the
-        # value the Armijo test starts from, up to the solver tolerance
+        # batches of 6 of 20 times: the unchanged bases (a trial step of
+        # 1e-300), scored through the trial path with the batch codes
+        # re-solved from their warm starts, give the value the Armijo test
+        # starts from, up to the solver tolerance
         import tvnet.basis
         seen = []
 
