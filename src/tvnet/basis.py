@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic_net import (ElasticNetConfig, QuadraticProblem, soft_threshold,
-                          solve_elastic_net_stack)
+from .elastic_net import (ElasticNetConfig, QuadraticProblem, _solve_stack,
+                          soft_threshold)
 from .errors import DegenerateInitializationError, InvalidInputError
 from .kernels import KernelSpec
 # bound here because bench/spans.py wraps them in this namespace
@@ -184,13 +184,15 @@ def infer_codes(bases, X, kernel, lambda_beta, alpha, times,
 
     `moments` may hold local_moments(X, kernel) for every time of X; they
     are computed for the target times when it is None. All targets are
-    solved as one stack.
+    solved as one stack. Each G_t is the Gram matrix of the S_t^(1/2) A_i
+    in the Frobenius inner product, so it is positive semidefinite by
+    construction and only its finiteness is checked.
     """
     X = as_sequence(X)
     times = [int(t) for t in times]
     G, v, _ = _coding_statistics(bases, _moments_at(X, kernel, times, moments))
     config = ElasticNetConfig(lam=lambda_beta, alpha=alpha)
-    res = solve_elastic_net_stack(G, v, config, warm_start=warm_starts)
+    res = _solve_stack(G, v, config, warm_start=warm_starts)
     return [StructureCode(code=res.coef[idx], time=t,
                           converged=bool(res.converged[idx]))
             for idx, t in enumerate(times)]

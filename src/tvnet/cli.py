@@ -25,6 +25,7 @@ from .evaluate import (best_match_score, classification_error,
 from .keller import fit_sequence
 from .kernels import KernelSpec
 from .logistic import fit_logistic
+from .moments import local_moments
 from .supervised import SupervisedConfig, fit_supervised
 from .synth import generate_sequence, make_ground_truth
 
@@ -201,8 +202,12 @@ def _load_labels(manifest, seed):
 
 def _load_keller_estimates(manifest, seed):
     """The (T, n, n) keller coefficients, one matrix per time."""
-    path = os.path.join(fit_dir(manifest, seed, "keller"), "estimates.json")
-    return storage.matrices_from_dict(storage.read_json(path))
+    path = os.path.join(fit_dir(manifest, seed, "keller"), "estimates.npy")
+    A = storage.read_array(path)
+    shape = (manifest.T, manifest.n, manifest.n)
+    if A.shape != shape:
+        raise InvalidInputError(f"{path} has shape {A.shape}, not {shape}")
+    return A
 
 
 def _load_bases(manifest, seed, method):
@@ -214,8 +219,7 @@ def _fit_keller(manifest, seed, d):
     X = _load_standardized(manifest, seed)
     seq = fit_sequence(X, manifest.kernel, manifest.lambda_keller,
                        range(manifest.T))
-    storage.write_json(os.path.join(d, "estimates.json"),
-                       storage.matrices_to_dict(seq.coefficients))
+    storage.write_array(os.path.join(d, "estimates.npy"), seq.coefficients)
     return {"iterations": len(seq.times),
             "rows_nonconverged": int(np.sum(~seq.row_converged)),
             "sweeps": int(np.sum(seq.row_sweeps))}
@@ -264,9 +268,10 @@ def _fit_bases(manifest, seed, d, supervised):
             "converged": bool(result.converged)}
 
 
-def _method_features(manifest, seed, method, X, A, bases):
+def _method_features(manifest, seed, method, X, A, bases, S_test):
     """(train_features, test_features) of one method, from the (T, n, n)
-    keller coefficients `A` and the method's `bases` (None for keller)."""
+    keller coefficients `A`, the method's `bases` (None for keller) and the
+    local moments `S_test` of the test segment."""
     tr, te = manifest.train_len, manifest.test_len
     if method == "keller":
         F = A[:, ~np.eye(manifest.n, dtype=bool)]
@@ -279,7 +284,7 @@ def _method_features(manifest, seed, method, X, A, bases):
             os.path.join(fit_dir(manifest, seed, method), "codes.csv"))
         test_codes = infer_codes(bases, X[tr:tr + te], manifest.kernel,
                                  manifest.lambda_beta, manifest.alpha,
-                                 range(te))
+                                 range(te), moments=S_test)
         return train_codes[:tr], np.stack([c.code for c in test_codes])
     return F[:tr], F[tr:tr + te]
 
@@ -294,13 +299,15 @@ def _evaluate(manifest, seed, d, oracle=False):
     truth = storage.read_json(os.path.join(data_dir(manifest, seed),
                                            "truth.json"))
     precisions = storage.matrices_from_dict(truth["precision_bases"])
+    # both basis methods infer test codes from the same moments
+    S_test = local_moments(X[tr:tr + te], manifest.kernel)
 
     results = []
     for method in METHODS:
         bases = None if method == "keller" else _load_bases(manifest, seed,
                                                             method)
         F_train, F_test = _method_features(manifest, seed, method, X, A,
-                                           bases)
+                                           bases, S_test)
         w, b = fit_logistic(F_train, y_train, ridge=manifest.nu,
                             intercept=True)
         error = classification_error(w, F_test, y_test, intercept=b)
@@ -391,11 +398,11 @@ STAGES = {
         ("sequence.csv", "labels.csv", "trajectories.csv", "truth.json"),
         lambda m, seed, _: data_dir(m, seed), _generate),
     "keller": Stage(
-        ("T", "train_len", "kernel", "lambda_keller"), 3,
-        (("generate", "sequence.csv"),), ("estimates.json", "fitlog.json"),
+        ("T", "train_len", "kernel", "lambda_keller"), 4,
+        (("generate", "sequence.csv"),), ("estimates.npy", "fitlog.json"),
         fit_dir, _fit_keller),
     "pca": Stage(
-        ("train_len", "k_learned"), 1, (("keller", "estimates.json"),),
+        ("train_len", "k_learned"), 2, (("keller", "estimates.npy"),),
         ("bases.json", "fitlog.json"), fit_dir, _fit_pca),
     "basis": Stage(
         _BASIS_FIELDS, 3,
@@ -410,9 +417,9 @@ STAGES = {
         lambda m, seed, d: _fit_bases(m, seed, d, supervised=True)),
     "eval": Stage(
         ("n", "train_len", "test_len", "kernel", "lambda_beta", "alpha",
-         "nu"), 3,
+         "nu"), 4,
         (("generate", "sequence.csv"), ("generate", "labels.csv"),
-         ("generate", "truth.json"), ("keller", "estimates.json"),
+         ("generate", "truth.json"), ("keller", "estimates.npy"),
          ("pca", "bases.json"), ("basis", "bases.json"),
          ("basis-supervised", "bases.json"), ("basis", "codes.csv"),
          ("basis-supervised", "codes.csv")),

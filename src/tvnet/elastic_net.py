@@ -91,6 +91,11 @@ def soft_threshold(z, thresh):
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
+def _check_finite(G, b):
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
+        raise InvalidInputError("quadratic problem has non-finite entries")
+
+
 def _check_stack(gram, linear):
     """gram (P, k, k) and linear (P, k) as float arrays, or InvalidInputError
     naming what is wrong with them."""
@@ -100,8 +105,7 @@ def _check_stack(gram, linear):
         raise InvalidInputError("gram must be a stack of square matrices")
     if b.shape != G.shape[:2]:
         raise InvalidInputError("linear term length must match gram size")
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("quadratic problem has non-finite entries")
+    _check_finite(G, b)
     if G.size:
         scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2)))
         asym = np.abs(G - G.transpose(0, 2, 1)).max(axis=(1, 2))
@@ -200,6 +204,15 @@ def _warm_beta(warm_start, shape):
     return beta.reshape(shape)
 
 
+def _solve_stack(G, b, config, warm_start=None):
+    """solve_elastic_net_stack for float arrays G (P, k, k) and b (P, k)
+    that the package built itself as Gram matrices, so symmetric and
+    positive semidefinite by construction. Only finiteness is checked, which
+    catches overflow in building them."""
+    _check_finite(G, b)
+    return _coordinate_descent(G, b, config, _warm_beta(warm_start, b.shape))
+
+
 def solve_elastic_net_stack(gram, linear, config, warm_start=None):
     """Minimize J for P problems at once: problem p has Gram gram[p] and
     linear term linear[p] (gram is (P, k, k), linear (P, k)), all under one
@@ -209,8 +222,7 @@ def solve_elastic_net_stack(gram, linear, config, warm_start=None):
     problem runs the coordinate descent of solve_elastic_net, and its result
     does not depend on the other problems of the stack. Non-convergence is
     flagged per problem, not raised."""
-    G, b = _check_stack(gram, linear)
-    return _coordinate_descent(G, b, config, _warm_beta(warm_start, b.shape))
+    return _solve_stack(*_check_stack(gram, linear), config, warm_start)
 
 
 def solve_elastic_net(problem, config, warm_start=None):

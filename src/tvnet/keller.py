@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic_net import ElasticNetConfig, solve_elastic_net_stack
+from .elastic_net import ElasticNetConfig, _solve_stack
 from .errors import InvalidInputError
 # bound here because bench/spans.py wraps them in this namespace
 from .elastic_net import solve_elastic_net  # noqa: F401
@@ -91,7 +91,9 @@ def fit_sequence(X, spec, lam, times):
     S_t[-i, i] of the local moment S_t; the rows of up to _CHUNK times form
     one stack. Every row lasso starts from zero, so each estimate equals
     estimate_structure_at at its time bit for bit, whichever other times
-    are requested.
+    are requested. S_t is symmetric and positive semidefinite by
+    construction, so by Cauchy interlacing every row Gram is too: the
+    stacks are checked for finiteness only.
     """
     X = as_sequence(X)
     times = np.asarray(list(times), dtype=int)
@@ -110,8 +112,8 @@ def fit_sequence(X, spec, lam, times):
         P = S.shape[0]
         gram = S[:, others[:, :, None], others[:, None, :]]
         linear = S[:, others, np.arange(n)[:, None]]
-        res = solve_elastic_net_stack(gram.reshape(P * n, n - 1, n - 1),
-                                      linear.reshape(P * n, n - 1), config)
+        res = _solve_stack(gram.reshape(P * n, n - 1, n - 1),
+                           linear.reshape(P * n, n - 1), config)
         seq.coefficients[lo:lo + P, off] = res.coef.reshape(P, n * (n - 1))
         seq.row_converged[lo:lo + P] = res.converged.reshape(P, n)
         seq.row_sweeps[lo:lo + P] = res.n_sweeps.reshape(P, n)

@@ -1,12 +1,15 @@
 """On-disk formats for the command-line pipeline.
 
 Matrices and sequences are headerless CSV with floats printed at 17
-significant digits (lossless round trip); structured records are JSON.
-Every write is atomic: content goes to a temporary file in the target
-directory first, then an os.replace.
+significant digits (lossless round trip); structured records are JSON. The
+one large stack, keller's (T, n, n) estimates, is a binary .npy array:
+little-endian float64 in C order, never pickled, so its bytes are a
+function of its values. Every write is atomic: content goes to a temporary
+file in the target directory first, then an os.replace.
 """
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -22,11 +25,12 @@ def fmt_float(x):
 
 
 def atomic_write_text(path, text):
+    """Write str `text`, or bytes as they are, to path atomically."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -52,6 +56,26 @@ def write_csv_matrix(path, M):
 
 def read_csv_matrix(path):
     return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def write_array(path, A):
+    """A as a .npy file of little-endian float64 in C order."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(A, dtype="<f8"), allow_pickle=False)
+    atomic_write_text(path, buf.getvalue())
+
+
+def read_array(path):
+    """The float64 array of a write_array file. A file that is not one
+    (truncated, pickled, another dtype) raises InvalidInputError naming
+    the path."""
+    try:
+        A = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise InvalidInputError(f"{path} is not a .npy array: {exc}")
+    if A.dtype != np.float64:
+        raise InvalidInputError(f"{path} holds {A.dtype}, not float64")
+    return A
 
 
 def write_codes_csv(path, codes):

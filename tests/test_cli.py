@@ -83,6 +83,39 @@ class TestStorage:
         assert (tmp_path / "a.txt").read_text() == "hello"
         assert os.listdir(tmp_path) == ["a.txt"]
 
+    def test_array_bytes_depend_on_the_values_only(self, tmp_path):
+        A = np.random.default_rng(0).standard_normal((4, 3, 3))
+        storage.write_array(tmp_path / "a.npy", A)
+        storage.write_array(tmp_path / "b.npy", A.copy())
+        assert ((tmp_path / "a.npy").read_bytes()
+                == (tmp_path / "b.npy").read_bytes())
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray,
+                                        lambda A: A.astype(">f8"),
+                                        lambda A: A.astype(np.float32)])
+    def test_array_stored_as_c_order_little_endian_float64(self, tmp_path,
+                                                           layout):
+        A = layout(np.random.default_rng(1).standard_normal((4, 3, 3)))
+        storage.write_array(tmp_path / "a.npy", A)
+        storage.write_array(tmp_path / "c.npy",
+                            np.array(A, dtype="<f8", order="C"))
+        assert ((tmp_path / "a.npy").read_bytes()
+                == (tmp_path / "c.npy").read_bytes())
+        B = storage.read_array(tmp_path / "a.npy")
+        assert B.dtype.str == "<f8" and B.flags.c_contiguous
+        assert np.array_equal(B, A)
+
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    def test_array_round_trip_bitwise(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        A = (rng.standard_normal((m, 3, 3))
+             * 10.0 ** rng.integers(-300, 300, (m, 3, 3)))
+        if m:
+            A[0, 0, :] = -0.0, 5e-324, np.nan
+        storage.write_array(tmp_path / "a.npy", A)
+        B = storage.read_array(tmp_path / "a.npy")
+        assert B.shape == A.shape and B.tobytes() == A.tobytes()
+
 
 class TestGenerate:
     def test_one_file_set_per_seed(self, tmp_path):
@@ -214,6 +247,38 @@ class TestFit:
         assert log["converged"] or log["iterations"] == generated.max_outer_iters
 
 
+class TestKellerArtifact:
+    """A malformed estimates.npy stops the stages that read it with a
+    validation error naming the file."""
+
+    def fit_pca_over(self, generated, tmp_path, capsys, damage):
+        cli.fit_one(generated, 0, "keller")
+        path = os.path.join(cli.fit_dir(generated, 0, "keller"),
+                            "estimates.npy")
+        damage(path)
+        code = cli.main(["fit", "--manifest", write_manifest(tmp_path),
+                         "--seed", "0", "--method", "pca"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and path in err
+
+    @pytest.mark.parametrize("change", [lambda A: A[1:],
+                                        lambda A: A[:, :, :-1],
+                                        lambda A: A.astype(np.float32)],
+                             ids=["times", "columns", "float32"])
+    def test_wrong_shape_or_dtype(self, generated, tmp_path, capsys, change):
+        self.fit_pca_over(generated, tmp_path, capsys,
+                          lambda path: np.save(path, change(np.load(path))))
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: os.truncate(path, os.path.getsize(path) // 2),
+        lambda path: os.truncate(path, 0),
+        lambda path: np.save(path, np.array([{"a": 1}]), allow_pickle=True),
+    ], ids=["truncated", "empty", "pickled"])
+    def test_unreadable(self, generated, tmp_path, capsys, damage):
+        self.fit_pca_over(generated, tmp_path, capsys, damage)
+
+
 @pytest.fixture
 def fitted(generated):
     for seed in generated.seeds:
@@ -258,7 +323,7 @@ class TestEval:
     def test_reads_each_artifact_once(self, fitted, monkeypatch):
         read = []
         # read_codes_csv reads through read_csv_matrix
-        for name in ("read_json", "read_csv_matrix"):
+        for name in ("read_json", "read_csv_matrix", "read_array"):
             def counted(path, _read=getattr(storage, name)):
                 read.append(os.path.relpath(path, fitted.output_dir))
                 return _read(path)

@@ -323,7 +323,7 @@ class TestFitSupervised:
         def no_solve(*args, **kwargs):
             raise AssertionError("a code was solved")
 
-        monkeypatch.setattr(tvnet.basis, "solve_elastic_net_stack", no_solve)
+        monkeypatch.setattr(tvnet.basis, "_solve_stack", no_solve)
         X, labels, init = make_problem(12)
         sup_cfg = SupervisedConfig(gamma=0.5, base=make_config(2))
         with pytest.raises(InvalidInputError, match="both classes"):
