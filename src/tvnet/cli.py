@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import storage
+from . import blas, storage
 from .basis import FitConfig, fit, infer_codes, init_bases_pca, init_times
 from .errors import InvalidInputError, TvnetError
 from .evaluate import (best_match_score, classification_error,
@@ -468,7 +468,8 @@ def run_stage(manifest, name, seed=None, extra_inputs=(), **options):
         return False
 
     started = time.perf_counter()
-    log = stage.run(manifest, seed, d, **options)
+    with blas.single_thread():
+        log = stage.run(manifest, seed, d, **options)
     if log is not None:
         log.update(method=name, seed=seed,
                    wall_time_s=time.perf_counter() - started)
